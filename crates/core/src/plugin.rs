@@ -205,6 +205,14 @@ pub trait OutputPlugin: std::fmt::Debug + Send {
     fn caps(&self) -> OutputCaps;
 
     /// Adapts a full server frame to the device.
+    ///
+    /// A plug-in may keep state between calls (a previous frame to diff
+    /// against, caches that let it redo only the changed part), but the
+    /// returned `frame` must be exactly what a freshly built plug-in
+    /// would return for the same `server_frame`. Only
+    /// [`DeviceFrame::changed`] may depend on earlier calls. Callers may
+    /// hand over frames whose damage was already drained, so a plug-in
+    /// must not rely on [`Framebuffer::damage`].
     fn adapt(&mut self, server_frame: &Framebuffer) -> DeviceFrame;
 }
 

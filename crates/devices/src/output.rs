@@ -1,21 +1,199 @@
 //! Output plug-ins: adapt server bitmaps to each display device.
 
 use uniint_core::plugin::{DeviceFrame, OutputCaps, OutputPlugin};
-use uniint_raster::dither::{dither_to_format, DitherMode};
+use uniint_raster::color::{first_difference, last_difference, Color};
+use uniint_raster::dither::{dither_to_format, DitherMode, Reducer};
 use uniint_raster::framebuffer::Framebuffer;
-use uniint_raster::geom::Size;
+use uniint_raster::geom::{Rect, Size};
 use uniint_raster::pixel::PixelFormat;
-use uniint_raster::scale::{scale_to_fit, ScaleFilter};
+use uniint_raster::region::{Region, RunBands};
+use uniint_raster::scale::{fit_size, scale_to_fit, ScaleFilter, ScaleTaps};
 
 /// A generic screen plug-in: aspect-fit scale, then depth reduction with
-/// dithering, parameterized by the device's [`OutputCaps`]. Keeps the
-/// previously adapted frame to report the changed region, so partial-
-/// refresh device links only ship deltas.
+/// dithering, parameterized by the device's [`OutputCaps`]. Reports the
+/// region that changed since the previous frame, so partial-refresh
+/// device links only ship deltas.
+///
+/// Adaptation costs in proportion to what changed. Between calls the
+/// plug-in retains the last source pixels, the reduced frame, and the
+/// per-axis scaling tap tables for the current source and device sizes;
+/// for Floyd–Steinberg also the scaled (pre-dither) frame and the
+/// incoming error row of every output row. The device palette is built
+/// once with the plug-in. Each call row-compares the new source with the
+/// retained one, maps the changed rows through the tap tables to the
+/// device rectangles their filter footprint touches, and re-scales and
+/// re-reduces only those. Floyd–Steinberg restarts at the first dirty row
+/// from its cached error row and stops below the last dirty row as soon
+/// as the error passed down matches the cached one. The first call, and
+/// any call with a new source size, is the same pass with every row
+/// dirty.
+///
+/// The returned frame is exactly what a freshly built plug-in returns
+/// for the same source.
 #[derive(Debug, Clone)]
 pub struct ScreenPlugin {
     kind: &'static str,
     caps: OutputCaps,
-    last: Option<Framebuffer>,
+    reducer: Reducer,
+    retained: Option<Retained>,
+}
+
+/// What a [`ScreenPlugin`] keeps from one call to the next.
+#[derive(Debug, Clone)]
+struct Retained {
+    /// The last source frame's pixels, row-major.
+    source: Vec<Color>,
+    /// Tap tables from the source size to the device frame size.
+    taps: ScaleTaps,
+    /// Floyd–Steinberg only: the scaled, not yet reduced, device frame.
+    /// Error diffusion re-reduces whole rows, including pixels outside
+    /// the recomputed rectangles; other modes reduce each pixel as it is
+    /// scaled and need no copy.
+    scaled: Vec<Color>,
+    /// The reduced device frame: what the last call returned.
+    reduced: Vec<Color>,
+    /// Floyd–Steinberg only: the incoming error row of every output row,
+    /// `width + 2` entries each.
+    errors: Vec<[i32; 3]>,
+}
+
+impl Retained {
+    /// State for a new source size, with every pixel still to compute.
+    /// The reduced frame of `old` is kept, to diff against, when the
+    /// device size is unchanged.
+    fn fresh(
+        src: &Framebuffer,
+        size: Size,
+        filter: ScaleFilter,
+        diffuses: bool,
+        old: Option<Retained>,
+    ) -> Retained {
+        let n = size.area() as usize;
+        let reduced = match old {
+            Some(old) if old.taps.dst() == size => old.reduced,
+            _ => vec![Color::BLACK; n],
+        };
+        let (scaled, errors) = if diffuses {
+            let rows = (size.w as usize + 2) * size.h as usize;
+            (vec![Color::BLACK; n], vec![[0; 3]; rows])
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        Retained {
+            source: src.pixels().to_vec(),
+            taps: ScaleTaps::new(src.size(), size, filter),
+            scaled,
+            reduced,
+            errors,
+        }
+    }
+
+    /// Updates the retained source to `src` (same size) and returns its
+    /// dirty bands: runs of changed rows, each spanning the columns that
+    /// changed on any of them.
+    fn take_source_changes(&mut self, src: &Framebuffer) -> Vec<Rect> {
+        let w = src.width() as usize;
+        let mut bands: Vec<Rect> = Vec::new();
+        let rows = self
+            .source
+            .chunks_exact_mut(w)
+            .zip(src.pixels().chunks_exact(w));
+        for (y, (old, new)) in rows.enumerate() {
+            let Some(x0) = first_difference(old, new) else {
+                continue;
+            };
+            let x1 = last_difference(old, new).expect("rows differ");
+            old[x0..x1].copy_from_slice(&new[x0..x1]);
+            let row = Rect::new(x0 as i32, y as i32, (x1 - x0) as u32, 1);
+            match bands.last_mut() {
+                Some(band) if band.bottom() == y as i32 => *band = band.union(row),
+                _ => bands.push(row),
+            }
+        }
+        bands
+    }
+
+    /// Recomputes the device pixels that read any of the source `bands`
+    /// from `src`. Returns where the reduced frame changed when `diff`
+    /// is set.
+    fn readapt(
+        &mut self,
+        src: &Framebuffer,
+        bands: &[Rect],
+        reducer: &Reducer,
+        diff: bool,
+    ) -> Option<Region> {
+        // Device rectangles to recompute, merged so their row ranges are
+        // disjoint. Taps are monotone, so footprints come out sorted.
+        let mut rects: Vec<Rect> = Vec::new();
+        for r in bands.iter().filter_map(|b| self.taps.footprint(*b)) {
+            match rects.last_mut() {
+                Some(last) if r.y < last.bottom() => *last = last.union(r),
+                _ => rects.push(r),
+            }
+        }
+        let size = self.taps.dst();
+        let (w, h) = (size.w as usize, size.h as usize);
+        let diffuses = reducer.diffuses();
+        if diffuses {
+            for r in &rects {
+                for y in r.y as usize..r.bottom() as usize {
+                    let span = &mut self.scaled[y * w..][r.x as usize..r.right() as usize];
+                    self.taps.scale_row(src, y as u32, r.x as u32, span);
+                }
+            }
+        }
+
+        let stride = w + 2;
+        let mut changed = RunBands::new();
+        let mut scaled_row = vec![Color::BLACK; w];
+        let mut row = vec![Color::BLACK; w];
+        let mut err = vec![[0i32; 3]; stride];
+        let mut next = vec![[0i32; 3]; stride];
+        let mut pending = rects.iter().peekable();
+        let mut y = rects.first().map_or(h, |r| r.y as usize);
+        if diffuses && y < h {
+            err.copy_from_slice(&self.errors[y * stride..][..stride]);
+        }
+        while y < h {
+            while pending.next_if(|r| r.bottom() as usize <= y).is_some() {}
+            let rect = pending.peek().filter(|r| r.y as usize <= y).copied();
+            // Outside the rectangles the scaled rows are unchanged, so the
+            // output is too — once error diffusion passes down the same
+            // error it did last time. Skip to the next rectangle.
+            if rect.is_none() && (!diffuses || self.errors[y * stride..][..stride] == err[..]) {
+                let Some(r) = pending.peek() else {
+                    break;
+                };
+                y = r.y as usize;
+                if diffuses {
+                    err.copy_from_slice(&self.errors[y * stride..][..stride]);
+                }
+                continue;
+            }
+            let (x0, x1) = if diffuses {
+                self.errors[y * stride..][..stride].copy_from_slice(&err);
+                let scaled = &self.scaled[y * w..][..w];
+                reducer.reduce_row(scaled, y, &mut err, &mut next, &mut row);
+                core::mem::swap(&mut err, &mut next);
+                (0, w)
+            } else {
+                let r = rect.expect("inside a rectangle");
+                let (x0, x1) = (r.x as usize, r.right() as usize);
+                let scaled = &mut scaled_row[x0..x1];
+                self.taps.scale_row(src, y as u32, x0 as u32, scaled);
+                reducer.reduce_span(scaled, x0, y, &mut row[x0..x1]);
+                (x0, x1)
+            };
+            let old = &mut self.reduced[y * w..][x0..x1];
+            if diff {
+                changed.push_diff(y as u32, x0 as u32, old, &row[x0..x1]);
+            }
+            old.copy_from_slice(&row[x0..x1]);
+            y += 1;
+        }
+        diff.then(|| changed.finish())
+    }
 }
 
 impl ScreenPlugin {
@@ -24,7 +202,8 @@ impl ScreenPlugin {
         ScreenPlugin {
             kind,
             caps,
-            last: None,
+            reducer: Reducer::for_format(caps.format, caps.dither),
+            retained: None,
         }
     }
 
@@ -93,20 +272,30 @@ impl OutputPlugin for ScreenPlugin {
     }
 
     fn adapt(&mut self, server_frame: &Framebuffer) -> DeviceFrame {
-        let scaled = scale_to_fit(server_frame, self.caps.size, self.caps.scale);
-        let reduced = dither_to_format(&scaled, self.caps.format, self.caps.dither);
-        let wire_bytes = self
-            .caps
-            .format
-            .buffer_bytes(reduced.width(), reduced.height());
-        let mut out = DeviceFrame::new(reduced.clone(), self.caps.format, wire_bytes);
-        if let Some(last) = &self.last {
-            if last.size() == reduced.size() {
-                out = out.with_changed(last.diff_region(&reduced));
+        let size = fit_size(server_frame.size(), self.caps.size);
+        // Taken out for the call and put back only on success, so a panic
+        // part-way leaves the plug-in fresh.
+        let (mut state, bands, diff) = match self.retained.take() {
+            Some(mut state) if state.taps.src() == server_frame.size() => {
+                let bands = state.take_source_changes(server_frame);
+                (state, bands, true)
             }
+            old => {
+                let diff = old.as_ref().is_some_and(|old| old.taps.dst() == size);
+                let diffuses = self.reducer.diffuses();
+                let state = Retained::fresh(server_frame, size, self.caps.scale, diffuses, old);
+                (state, vec![server_frame.bounds()], diff)
+            }
+        };
+        let changed = state.readapt(server_frame, &bands, &self.reducer, diff);
+        let frame = Framebuffer::from_pixels(size, state.reduced.clone());
+        self.retained = Some(state);
+        let wire_bytes = self.caps.format.buffer_bytes(size.w, size.h);
+        let out = DeviceFrame::new(frame, self.caps.format, wire_bytes);
+        match changed {
+            Some(changed) => out.with_changed(changed),
+            None => out,
         }
-        self.last = Some(reduced);
-        out
     }
 }
 

@@ -123,6 +123,54 @@ impl From<Color> for u32 {
     }
 }
 
+/// Pixels per block in [`first_difference`] and [`last_difference`].
+const BLOCK: usize = 16;
+
+/// Whether two pixel blocks differ. A fixed-size fold the compiler turns
+/// into a few vector operations; slice `==` on colors compares pixel by
+/// pixel and costs several times more.
+fn block_differs(a: &[Color], b: &[Color]) -> bool {
+    let (a, b): (&[Color; BLOCK], &[Color; BLOCK]) = match (a.try_into(), b.try_into()) {
+        (Ok(a), Ok(b)) => (a, b),
+        _ => unreachable!("blocks are BLOCK pixels long"),
+    };
+    let mut acc = 0u8;
+    for i in 0..BLOCK {
+        acc |= (a[i].r ^ b[i].r) | (a[i].g ^ b[i].g) | (a[i].b ^ b[i].b);
+    }
+    acc != 0
+}
+
+/// The first index at which two equally long pixel slices differ.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn first_difference(a: &[Color], b: &[Color]) -> Option<usize> {
+    assert_eq!(a.len(), b.len(), "compared spans must match");
+    let mut blocks = a.chunks_exact(BLOCK).zip(b.chunks_exact(BLOCK));
+    let start = blocks
+        .position(|(x, y)| block_differs(x, y))
+        .map_or(a.len() - a.len() % BLOCK, |k| k * BLOCK);
+    (start..a.len()).find(|&i| a[i] != b[i])
+}
+
+/// One past the last index at which two equally long pixel slices
+/// differ.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn last_difference(a: &[Color], b: &[Color]) -> Option<usize> {
+    assert_eq!(a.len(), b.len(), "compared spans must match");
+    let mut blocks = a.rchunks_exact(BLOCK).zip(b.rchunks_exact(BLOCK));
+    let end = a.len()
+        - blocks
+            .position(|(x, y)| block_differs(x, y))
+            .map_or(a.len() - a.len() % BLOCK, |k| k * BLOCK);
+    (0..end).rev().find(|&i| a[i] != b[i]).map(|i| i + 1)
+}
+
 /// An indexed palette of colors, used for shallow output devices.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Palette {
@@ -246,6 +294,25 @@ impl Palette {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn first_and_last_difference_find_the_changed_span() {
+        let a = vec![Color::BLACK; 53];
+        assert_eq!(first_difference(&a, &a), None);
+        assert_eq!(last_difference(&a, &a), None);
+        for lo in [0, 1, 15, 16, 17, 36, 52] {
+            for hi in [lo, lo + 1, 31, 37, 52] {
+                if hi < lo || hi >= a.len() {
+                    continue;
+                }
+                let mut b = a.clone();
+                b[lo] = Color::WHITE;
+                b[hi] = Color::RED;
+                assert_eq!(first_difference(&a, &b), Some(lo), "{lo}..={hi}");
+                assert_eq!(last_difference(&a, &b), Some(hi + 1), "{lo}..={hi}");
+            }
+        }
+    }
 
     #[test]
     fn pack_roundtrip() {

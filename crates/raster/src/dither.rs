@@ -36,114 +36,222 @@ impl core::fmt::Display for DitherMode {
 /// 4×4 Bayer threshold matrix, values `0..16`.
 const BAYER4: [[i32; 4]; 4] = [[0, 8, 2, 10], [12, 4, 14, 6], [3, 11, 1, 9], [15, 7, 13, 5]];
 
+/// One Floyd–Steinberg error row: accumulated per-channel error, in
+/// 1/16ths, for output columns `-1..=w` (index `x + 1` holds column `x`).
+pub type ErrorRow = [[i32; 3]];
+
+/// Depth reduction for one target: the device palette (built once) and
+/// the dither mode, applied a span or a row at a time so a frame can be
+/// reduced in pieces. [`dither_to_palette`] and [`dither_to_format`] are
+/// whole-frame wrappers over the same kernels.
+#[derive(Debug, Clone)]
+pub struct Reducer {
+    kind: Kind,
+}
+
+#[derive(Debug, Clone)]
+enum Kind {
+    /// 24-bit output: pixels pass through.
+    Identity,
+    /// Channel-wise reduction to a true-color format, optionally with an
+    /// ordered bias.
+    Channel { format: PixelFormat, ordered: bool },
+    /// Nearest-entry quantization to a palette.
+    Palette {
+        palette: Palette,
+        mode: DitherMode,
+        /// Ordered-dither bias amplitude.
+        amp: i32,
+    },
+}
+
+impl Reducer {
+    /// Reduction to `palette` with `mode`.
+    pub fn for_palette(palette: Palette, mode: DitherMode) -> Reducer {
+        // Bias amplitude scaled to the palette's average quantization
+        // step so 2-color and 256-color palettes both dither sensibly.
+        let amp = (256 / (palette.len().min(64)) as i32).max(8);
+        Reducer {
+            kind: Kind::Palette { palette, mode, amp },
+        }
+    }
+
+    /// Reduction to what `format` can represent. True-color formats
+    /// quantize channel-wise; palette-ish formats (`Gray4`, `Mono1`,
+    /// `Indexed8`, `Gray8`) go through an explicit palette.
+    pub fn for_format(format: PixelFormat, mode: DitherMode) -> Reducer {
+        let palette = match format {
+            PixelFormat::Mono1 => Palette::mono(),
+            PixelFormat::Gray4 => Palette::grayscale(16),
+            PixelFormat::Indexed8 => Palette::websafe(),
+            PixelFormat::Gray8 => Palette::grayscale(256),
+            PixelFormat::Rgb888 => {
+                return Reducer {
+                    kind: Kind::Identity,
+                }
+            }
+            // Error diffusion is overkill for >=12bpp GUI content, so
+            // only the ordered mode perturbs here.
+            PixelFormat::Rgb565 | PixelFormat::Rgb444 => {
+                return Reducer {
+                    kind: Kind::Channel {
+                        format,
+                        ordered: mode == DitherMode::Ordered4x4,
+                    },
+                }
+            }
+        };
+        Reducer::for_palette(palette, mode)
+    }
+
+    /// Whether reduction diffuses error along and across rows
+    /// (Floyd–Steinberg to a palette). Such frames must be reduced whole
+    /// rows at a time, top to bottom, with [`reduce_row`](Self::reduce_row);
+    /// otherwise every output pixel depends only on its input pixel and
+    /// position, and [`reduce_span`](Self::reduce_span) applies.
+    pub fn diffuses(&self) -> bool {
+        matches!(
+            self.kind,
+            Kind::Palette {
+                mode: DitherMode::FloydSteinberg,
+                ..
+            }
+        )
+    }
+
+    /// Reduces the pixels `src` at columns `x0..` of row `y` into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length or the reducer
+    /// [`diffuses`](Self::diffuses).
+    pub fn reduce_span(&self, src: &[Color], x0: usize, y: usize, out: &mut [Color]) {
+        assert_eq!(src.len(), out.len(), "span lengths differ");
+        assert!(!self.diffuses(), "error diffusion needs whole rows");
+        // Ordered-dither threshold of column `x`, -8..8.
+        let bayer = |x: usize| BAYER4[y % 4][x % 4] - 8;
+        let pixels = out.iter_mut().zip(src).zip(x0..);
+        match &self.kind {
+            Kind::Identity => out.copy_from_slice(src),
+            Kind::Channel {
+                format,
+                ordered: false,
+            } => pixels.for_each(|((o, &p), _)| *o = format.reduce(p)),
+            Kind::Channel {
+                format,
+                ordered: true,
+            } => pixels.for_each(|((o, &p), x)| {
+                let t = bayer(x);
+                let bias = if *format == PixelFormat::Rgb444 {
+                    t
+                } else {
+                    t / 2
+                };
+                *o = format.reduce(biased(p, bias));
+            }),
+            Kind::Palette {
+                palette,
+                mode: DitherMode::Ordered4x4,
+                amp,
+            } => pixels.for_each(|((o, &p), x)| {
+                *o = palette.quantize(biased(p, bayer(x) * amp / 8));
+            }),
+            Kind::Palette { palette, .. } => {
+                pixels.for_each(|((o, &p), _)| *o = palette.quantize(p));
+            }
+        }
+    }
+
+    /// Reduces one whole row `src` into `out`. `err` holds the row's
+    /// incoming error (`src.len() + 2` entries) and is used up; `next`
+    /// (same length) is overwritten with the error passed to the row
+    /// below. Rows of a non-diffusing reducer ignore both.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice lengths disagree.
+    pub fn reduce_row(
+        &self,
+        src: &[Color],
+        y: usize,
+        err: &mut ErrorRow,
+        next: &mut ErrorRow,
+        out: &mut [Color],
+    ) {
+        let Kind::Palette {
+            palette,
+            mode: DitherMode::FloydSteinberg,
+            ..
+        } = &self.kind
+        else {
+            return self.reduce_span(src, 0, y, out);
+        };
+        let w = src.len();
+        assert!(
+            out.len() == w && err.len() == w + 2 && next.len() == w + 2,
+            "row lengths differ"
+        );
+        next.fill([0; 3]);
+        for x in 0..w {
+            let e = err[x + 1];
+            let p = src[x];
+            let adj = Color::rgb(
+                (p.r as i32 + e[0] / 16).clamp(0, 255) as u8,
+                (p.g as i32 + e[1] / 16).clamp(0, 255) as u8,
+                (p.b as i32 + e[2] / 16).clamp(0, 255) as u8,
+            );
+            let q = palette.quantize(adj);
+            out[x] = q;
+            let d = [
+                adj.r as i32 - q.r as i32,
+                adj.g as i32 - q.g as i32,
+                adj.b as i32 - q.b as i32,
+            ];
+            for ch in 0..3 {
+                err[x + 2][ch] += d[ch] * 7;
+                next[x][ch] += d[ch] * 3;
+                next[x + 1][ch] += d[ch] * 5;
+                next[x + 2][ch] += d[ch];
+            }
+        }
+    }
+
+    /// Reduces a whole frame.
+    pub fn reduce(&self, src: &Framebuffer) -> Framebuffer {
+        if matches!(self.kind, Kind::Identity) {
+            return src.clone();
+        }
+        let w = src.width() as usize;
+        let mut out = vec![Color::BLACK; w * src.height() as usize];
+        let mut err = vec![[0i32; 3]; w + 2];
+        let mut next = vec![[0i32; 3]; w + 2];
+        for (y, row_out) in out.chunks_exact_mut(w).enumerate() {
+            self.reduce_row(src.row(y as u32), y, &mut err, &mut next, row_out);
+            core::mem::swap(&mut err, &mut next);
+        }
+        Framebuffer::from_pixels(src.size(), out)
+    }
+}
+
+/// `p` with `bias` added to every channel, clamped.
+fn biased(p: Color, bias: i32) -> Color {
+    Color::rgb(
+        (p.r as i32 + bias).clamp(0, 255) as u8,
+        (p.g as i32 + bias).clamp(0, 255) as u8,
+        (p.b as i32 + bias).clamp(0, 255) as u8,
+    )
+}
+
 /// Quantizes every pixel of `src` to `palette`, applying `mode`.
 /// Returns a new framebuffer whose pixels are all palette colors.
 pub fn dither_to_palette(src: &Framebuffer, palette: &Palette, mode: DitherMode) -> Framebuffer {
-    let w = src.width() as usize;
-    let h = src.height() as usize;
-    let mut out = Framebuffer::new(src.width(), src.height(), Color::BLACK);
-    let mut result = Vec::with_capacity(w * h);
-    match mode {
-        DitherMode::None => {
-            for &p in src.pixels() {
-                result.push(palette.quantize(p));
-            }
-        }
-        DitherMode::Ordered4x4 => {
-            // Bias amplitude scaled to the palette's average quantization
-            // step so 2-color and 256-color palettes both dither sensibly.
-            let amp = (256 / (palette.len().min(64)) as i32).max(8);
-            for y in 0..h {
-                let row = src.row(y as u32);
-                for (x, &p) in row.iter().enumerate() {
-                    let t = BAYER4[y % 4][x % 4] - 8; // -8..8
-                    let bias = t * amp / 8;
-                    let adj = Color::rgb(
-                        (p.r as i32 + bias).clamp(0, 255) as u8,
-                        (p.g as i32 + bias).clamp(0, 255) as u8,
-                        (p.b as i32 + bias).clamp(0, 255) as u8,
-                    );
-                    result.push(palette.quantize(adj));
-                }
-            }
-        }
-        DitherMode::FloydSteinberg => {
-            // Per-channel error buffers for the current and next row.
-            let mut err_cur = vec![[0i32; 3]; w + 2];
-            let mut err_next = vec![[0i32; 3]; w + 2];
-            for y in 0..h {
-                let row = src.row(y as u32);
-                for x in 0..w {
-                    let e = err_cur[x + 1];
-                    let p = row[x];
-                    let adj = Color::rgb(
-                        (p.r as i32 + e[0] / 16).clamp(0, 255) as u8,
-                        (p.g as i32 + e[1] / 16).clamp(0, 255) as u8,
-                        (p.b as i32 + e[2] / 16).clamp(0, 255) as u8,
-                    );
-                    let q = palette.quantize(adj);
-                    result.push(q);
-                    let err = [
-                        adj.r as i32 - q.r as i32,
-                        adj.g as i32 - q.g as i32,
-                        adj.b as i32 - q.b as i32,
-                    ];
-                    for ch in 0..3 {
-                        err_cur[x + 2][ch] += err[ch] * 7;
-                        err_next[x][ch] += err[ch] * 3;
-                        err_next[x + 1][ch] += err[ch] * 5;
-                        err_next[x + 2][ch] += err[ch];
-                    }
-                }
-                core::mem::swap(&mut err_cur, &mut err_next);
-                err_next.iter_mut().for_each(|e| *e = [0; 3]);
-            }
-        }
-    }
-    out.write_rect(out.bounds(), &result);
-    out
+    Reducer::for_palette(palette.clone(), mode).reduce(src)
 }
 
 /// Reduces every pixel of `src` to what `format` can represent, dithering
-/// with `mode`. True-color formats quantize channel-wise; palette-ish
-/// formats (`Gray4`, `Mono1`, `Indexed8`) go through an explicit palette.
+/// with `mode`. See [`Reducer::for_format`].
 pub fn dither_to_format(src: &Framebuffer, format: PixelFormat, mode: DitherMode) -> Framebuffer {
-    match format {
-        PixelFormat::Mono1 => dither_to_palette(src, &Palette::mono(), mode),
-        PixelFormat::Gray4 => dither_to_palette(src, &Palette::grayscale(16), mode),
-        PixelFormat::Indexed8 => dither_to_palette(src, &Palette::websafe(), mode),
-        PixelFormat::Gray8 => dither_to_palette(src, &Palette::grayscale(256), mode),
-        PixelFormat::Rgb888 => src.clone(),
-        PixelFormat::Rgb565 | PixelFormat::Rgb444 => {
-            // Channel-wise reduction; error diffusion is overkill for >=12bpp
-            // GUI content, so only ordered/none modes perturb here.
-            let mut out = Framebuffer::new(src.width(), src.height(), Color::BLACK);
-            let w = src.width() as usize;
-            let mut result = Vec::with_capacity(w * src.height() as usize);
-            for (i, &p) in src.pixels().iter().enumerate() {
-                let adj = if mode == DitherMode::Ordered4x4 {
-                    let x = i % w;
-                    let y = i / w;
-                    let t = BAYER4[y % 4][x % 4] - 8;
-                    let bias = if format == PixelFormat::Rgb444 {
-                        t
-                    } else {
-                        t / 2
-                    };
-                    Color::rgb(
-                        (p.r as i32 + bias).clamp(0, 255) as u8,
-                        (p.g as i32 + bias).clamp(0, 255) as u8,
-                        (p.b as i32 + bias).clamp(0, 255) as u8,
-                    )
-                } else {
-                    p
-                };
-                result.push(format.reduce(adj));
-            }
-            out.write_rect(out.bounds(), &result);
-            out
-        }
-    }
+    Reducer::for_format(format, mode).reduce(src)
 }
 
 #[cfg(test)]

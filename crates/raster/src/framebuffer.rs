@@ -7,7 +7,7 @@
 
 use crate::color::Color;
 use crate::geom::{Point, Rect, Size};
-use crate::region::Region;
+use crate::region::{Region, RunBands};
 
 /// A `w`×`h` raster of [`Color`] pixels with an accumulated damage region.
 ///
@@ -47,6 +47,29 @@ impl Framebuffer {
             height,
             pixels: vec![background; (width * height) as usize],
             damage: Region::from_rect(Rect::new(0, 0, width, height)),
+        }
+    }
+
+    /// Creates a framebuffer from row-major `pixels`, fully damaged like
+    /// [`new`](Self::new).
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same size limits as [`new`](Self::new), or if
+    /// `pixels` does not hold exactly `size.w * size.h` colors.
+    pub fn from_pixels(size: Size, pixels: Vec<Color>) -> Framebuffer {
+        assert!(size.w > 0 && size.h > 0, "framebuffer must be non-empty");
+        assert!(size.area() <= 64 * 1024 * 1024, "framebuffer too large");
+        assert_eq!(
+            pixels.len() as u64,
+            size.area(),
+            "from_pixels data length mismatch"
+        );
+        Framebuffer {
+            width: size.w,
+            height: size.h,
+            pixels,
+            damage: Region::from_rect(Rect::new(0, 0, size.w, size.h)),
         }
     }
 
@@ -259,45 +282,16 @@ impl Framebuffer {
     /// Panics if the framebuffers have different sizes.
     pub fn diff_region(&self, other: &Framebuffer) -> Region {
         assert_eq!(self.size(), other.size(), "diff requires equal sizes");
-        let w = self.width as usize;
         // Scanline runs are disjoint by construction, so the region is
         // assembled directly instead of via `Region::add` — whose
         // per-insert subtract scan goes quadratic on the tens of
         // thousands of runs a dithered-noise diff produces. Runs with
         // identical spans on consecutive rows merge into taller bands.
-        let mut rects: Vec<Rect> = Vec::new();
-        // Open bands touching the previous row, keyed (x, w) → index.
-        let mut prev_open: std::collections::HashMap<(usize, usize), usize> =
-            std::collections::HashMap::new();
+        let mut bands = RunBands::new();
         for y in 0..self.height {
-            let a = self.row(y);
-            let b = other.row(y);
-            let mut cur_open = std::collections::HashMap::new();
-            let mut x = 0usize;
-            while x < w {
-                if a[x] == b[x] {
-                    x += 1;
-                    continue;
-                }
-                let start = x;
-                while x < w && a[x] != b[x] {
-                    x += 1;
-                }
-                let key = (start, x - start);
-                if let Some(&idx) = prev_open.get(&key) {
-                    let r: Rect = rects[idx];
-                    if r.bottom() == y as i32 {
-                        rects[idx] = Rect::new(r.x, r.y, r.w, r.h + 1);
-                        cur_open.insert(key, idx);
-                        continue;
-                    }
-                }
-                rects.push(Rect::new(start as i32, y as i32, (x - start) as u32, 1));
-                cur_open.insert(key, rects.len() - 1);
-            }
-            prev_open = cur_open;
+            bands.push_diff(y, 0, self.row(y), other.row(y));
         }
-        Region::from_disjoint_rects(rects)
+        bands.finish()
     }
 }
 

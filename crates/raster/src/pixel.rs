@@ -137,7 +137,14 @@ impl PixelFormat {
                     Color::BLACK
                 }
             }
-            PixelFormat::Indexed8 => Palette::websafe().quantize(c),
+            PixelFormat::Indexed8 => {
+                // The nearest web-safe color: squared RGB distance is a
+                // sum over channels and the cube's levels form a product
+                // set, so each channel rounds to its nearest multiple of
+                // 51 on its own. 51 is odd, so no value is ever halfway.
+                let level = |v: u8| ((v as u32 + 25) / 51 * 51) as u8;
+                Color::rgb(level(c.r), level(c.g), level(c.b))
+            }
         }
     }
 }
@@ -322,6 +329,24 @@ mod tests {
             assert_eq!(PixelFormat::from_wire_id(f.wire_id()), Some(f));
         }
         assert_eq!(PixelFormat::from_wire_id(200), None);
+    }
+
+    #[test]
+    fn indexed8_reduce_is_websafe_nearest() {
+        // Every value of each channel, against a few settings of the
+        // other two, matches the palette's nearest-entry search.
+        let websafe = Palette::websafe();
+        for v in 0..=255u8 {
+            for other in [0u8, 25, 26, 128, 255] {
+                for c in [
+                    Color::rgb(v, other, other),
+                    Color::rgb(other, v, other),
+                    Color::rgb(other, other, v),
+                ] {
+                    assert_eq!(PixelFormat::Indexed8.reduce(c), websafe.quantize(c), "{c}");
+                }
+            }
+        }
     }
 
     #[test]

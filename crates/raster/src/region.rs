@@ -6,6 +6,7 @@
 //! disjoint at all times and coalesces adjacent bands opportunistically,
 //! mirroring the classic X server region code (in spirit, not in layout).
 
+use crate::color::{first_difference, Color};
 use crate::geom::{Point, Rect};
 use serde::{Deserialize, Serialize};
 
@@ -187,7 +188,99 @@ impl Region {
             rects: rects.into_iter().filter(|r| !r.is_empty()).collect(),
         }
     }
+}
 
+/// Assembles a [`Region`] from horizontal runs fed in row-major order.
+///
+/// A run whose span equals a run on the row just above extends that
+/// run's band downwards; any other run starts a new one-row band. The
+/// runs of one row are disjoint, so the bands are too, and the region is
+/// built in linear time. [`Framebuffer::diff_region`] and the output
+/// plug-ins' partial re-adaptation share this builder, so a diff taken
+/// piecewise yields the same rectangles as a whole-frame diff.
+///
+/// [`Framebuffer::diff_region`]: crate::framebuffer::Framebuffer::diff_region
+#[derive(Debug, Default)]
+pub struct RunBands {
+    rects: Vec<Rect>,
+    /// Bands ending on the row above `row`, in increasing x.
+    above: Vec<usize>,
+    /// Bands ending on `row`, in increasing x.
+    current: Vec<usize>,
+    /// Position in `above` of the next candidate band.
+    cursor: usize,
+    row: Option<u32>,
+}
+
+impl RunBands {
+    /// Creates an empty builder.
+    pub fn new() -> RunBands {
+        RunBands::default()
+    }
+
+    /// Adds the run `[x0, x1)` on row `y`.
+    ///
+    /// Rows must arrive in increasing order and the runs of one row in
+    /// increasing, non-overlapping x. Rows may be skipped.
+    pub fn push(&mut self, y: u32, x0: u32, x1: u32) {
+        debug_assert!(x0 < x1, "empty run");
+        if self.row != Some(y) {
+            debug_assert!(self.row.is_none_or(|r| r < y), "rows out of order");
+            if self.row.is_some_and(|r| r + 1 == y) {
+                core::mem::swap(&mut self.above, &mut self.current);
+            } else {
+                self.above.clear();
+            }
+            self.current.clear();
+            self.cursor = 0;
+            self.row = Some(y);
+        }
+        // Bands above are sorted by x, and so are this row's runs, so one
+        // forward cursor finds the band with the same start, if any.
+        while let Some(&idx) = self.above.get(self.cursor) {
+            let r = self.rects[idx];
+            if r.x < x0 as i32 {
+                self.cursor += 1;
+                continue;
+            }
+            if r.x == x0 as i32 && r.w == x1 - x0 {
+                self.rects[idx].h += 1;
+                self.current.push(idx);
+                self.cursor += 1;
+                return;
+            }
+            break;
+        }
+        self.rects.push(Rect::new(x0 as i32, y as i32, x1 - x0, 1));
+        self.current.push(self.rects.len() - 1);
+    }
+
+    /// Adds a run for every maximal stretch where `a` and `b` differ;
+    /// both slices start at column `x0` of row `y`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn push_diff(&mut self, y: u32, x0: u32, a: &[Color], b: &[Color]) {
+        assert_eq!(a.len(), b.len(), "diff spans must match");
+        let mut x = 0;
+        while let Some(d) = first_difference(&a[x..], &b[x..]) {
+            let start = x + d;
+            x = start + 1;
+            while x < a.len() && a[x] != b[x] {
+                x += 1;
+            }
+            self.push(y, x0 + start as u32, x0 + x as u32);
+        }
+    }
+
+    /// The region covered by every run pushed so far.
+    pub fn finish(self) -> Region {
+        Region::from_disjoint_rects(self.rects)
+    }
+}
+
+impl Region {
     /// Merge pairs of rectangles that tile exactly (share a full edge).
     /// Keeps the representation compact after many small `add`s; purely an
     /// optimization, the covered pixel set is unchanged.

@@ -3,7 +3,7 @@
 
 use crate::color::Color;
 use crate::framebuffer::Framebuffer;
-use crate::geom::Size;
+use crate::geom::{Rect, Size};
 use serde::{Deserialize, Serialize};
 
 /// Scaling filter selection.
@@ -42,98 +42,195 @@ pub fn scale(src: &Framebuffer, target: Size, filter: ScaleFilter) -> Framebuffe
     if src.size() == target {
         return src.clone();
     }
-    match filter {
-        ScaleFilter::Nearest => scale_nearest(src, target),
-        ScaleFilter::Bilinear => scale_bilinear(src, target),
-        ScaleFilter::Box => scale_box(src, target),
+    let taps = ScaleTaps::new(src.size(), target, filter);
+    let mut out = vec![Color::BLACK; target.area() as usize];
+    for (y, row) in out.chunks_exact_mut(target.w as usize).enumerate() {
+        taps.scale_row(src, y as u32, 0, row);
     }
+    Framebuffer::from_pixels(target, out)
+}
+
+/// The size of a `src`-sized image after an aspect-preserving fit into
+/// `bounds`; at least 1×1 and never larger than `bounds`.
+///
+/// # Panics
+///
+/// Panics if `bounds` is empty.
+pub fn fit_size(src: Size, bounds: Size) -> Size {
+    assert!(!bounds.is_empty(), "scale bounds must be non-empty");
+    let sx = bounds.w as f64 / src.w as f64;
+    let sy = bounds.h as f64 / src.h as f64;
+    let s = sx.min(sy);
+    let w = ((src.w as f64 * s).round() as u32).clamp(1, bounds.w);
+    let h = ((src.h as f64 * s).round() as u32).clamp(1, bounds.h);
+    Size::new(w, h)
 }
 
 /// Scales `src` to fit within `bounds` preserving aspect ratio; result is
 /// at least 1×1.
 pub fn scale_to_fit(src: &Framebuffer, bounds: Size, filter: ScaleFilter) -> Framebuffer {
-    assert!(!bounds.is_empty(), "scale bounds must be non-empty");
-    let sx = bounds.w as f64 / src.width() as f64;
-    let sy = bounds.h as f64 / src.height() as f64;
-    let s = sx.min(sy);
-    let w = ((src.width() as f64 * s).round() as u32).clamp(1, bounds.w);
-    let h = ((src.height() as f64 * s).round() as u32).clamp(1, bounds.h);
-    scale(src, Size::new(w, h), filter)
+    scale(src, fit_size(src.size(), bounds), filter)
 }
 
-fn scale_nearest(src: &Framebuffer, target: Size) -> Framebuffer {
-    let mut dst = Framebuffer::new(target.w, target.h, Color::BLACK);
-    let mut rows = Vec::with_capacity((target.w * target.h) as usize);
-    for y in 0..target.h {
-        let sy = (y as u64 * src.height() as u64 / target.h as u64) as u32;
-        let row = src.row(sy);
-        for x in 0..target.w {
-            let sx = (x as u64 * src.width() as u64 / target.w as u64) as usize;
-            rows.push(row[sx]);
+/// The source pixels one output row or column reads: the inclusive span
+/// `first..=last`, and for bilinear the weight of `last` in 1/256ths.
+#[derive(Debug, Clone, Copy)]
+struct Tap {
+    first: u32,
+    last: u32,
+    t: u32,
+}
+
+impl Tap {
+    fn nearest(i: u32, src: u32, dst: u32) -> Tap {
+        let s = (i as u64 * src as u64 / dst as u64) as u32;
+        Tap {
+            first: s,
+            last: s,
+            t: 0,
         }
     }
-    dst.write_rect(dst.bounds(), &rows);
-    dst
-}
 
-fn scale_bilinear(src: &Framebuffer, target: Size) -> Framebuffer {
-    let mut dst = Framebuffer::new(target.w, target.h, Color::BLACK);
-    let mut out = Vec::with_capacity((target.w * target.h) as usize);
-    let sw = src.width() as f64;
-    let sh = src.height() as f64;
-    for y in 0..target.h {
+    fn bilinear(i: u32, src: u32, dst: u32) -> Tap {
         // Map pixel centers.
-        let fy = ((y as f64 + 0.5) * sh / target.h as f64 - 0.5).max(0.0);
-        let y0 = fy.floor() as u32;
-        let y1 = (y0 + 1).min(src.height() - 1);
-        let ty = ((fy - y0 as f64) * 256.0) as u32;
-        let row0 = src.row(y0);
-        let row1 = src.row(y1);
-        for x in 0..target.w {
-            let fx = ((x as f64 + 0.5) * sw / target.w as f64 - 0.5).max(0.0);
-            let x0 = fx.floor() as usize;
-            let x1 = (x0 + 1).min(src.width() as usize - 1);
-            let tx = ((fx - x0 as f64) * 256.0) as u32;
-            let top = row0[x0].lerp(row0[x1], tx);
-            let bot = row1[x0].lerp(row1[x1], tx);
-            out.push(top.lerp(bot, ty));
+        let f = ((i as f64 + 0.5) * src as f64 / dst as f64 - 0.5).max(0.0);
+        let first = f.floor() as u32;
+        Tap {
+            first,
+            last: (first + 1).min(src - 1),
+            t: ((f - first as f64) * 256.0) as u32,
         }
     }
-    dst.write_rect(dst.bounds(), &out);
-    dst
+
+    fn area(i: u32, src: u32, dst: u32) -> Tap {
+        let first = (i as u64 * src as u64 / dst as u64) as u32;
+        let end = ((i as u64 + 1) * src as u64 / dst as u64) as u32;
+        Tap {
+            first,
+            last: end.max(first + 1) - 1,
+            t: 0,
+        }
+    }
 }
 
-fn scale_box(src: &Framebuffer, target: Size) -> Framebuffer {
-    let mut dst = Framebuffer::new(target.w, target.h, Color::BLACK);
-    let mut out = Vec::with_capacity((target.w * target.h) as usize);
-    for y in 0..target.h {
-        let y0 = (y as u64 * src.height() as u64 / target.h as u64) as u32;
-        let mut y1 = ((y as u64 + 1) * src.height() as u64 / target.h as u64) as u32;
-        if y1 <= y0 {
-            y1 = y0 + 1;
+/// Per-axis tap tables for scaling a `src`-sized frame to `dst` with one
+/// filter: the single implementation behind [`scale`], usable on any span
+/// of the output so callers can re-scale only what changed.
+#[derive(Debug, Clone)]
+pub struct ScaleTaps {
+    filter: ScaleFilter,
+    src: Size,
+    dst: Size,
+    xs: Vec<Tap>,
+    ys: Vec<Tap>,
+}
+
+impl ScaleTaps {
+    /// Builds the tables for `src` → `dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either size is empty.
+    pub fn new(src: Size, dst: Size, filter: ScaleFilter) -> ScaleTaps {
+        assert!(
+            !src.is_empty() && !dst.is_empty(),
+            "scale sizes must be non-empty"
+        );
+        let tap = match filter {
+            ScaleFilter::Nearest => Tap::nearest,
+            ScaleFilter::Bilinear => Tap::bilinear,
+            ScaleFilter::Box => Tap::area,
+        };
+        ScaleTaps {
+            filter,
+            src,
+            dst,
+            xs: (0..dst.w).map(|x| tap(x, src.w, dst.w)).collect(),
+            ys: (0..dst.h).map(|y| tap(y, src.h, dst.h)).collect(),
         }
-        for x in 0..target.w {
-            let x0 = (x as u64 * src.width() as u64 / target.w as u64) as u32;
-            let mut x1 = ((x as u64 + 1) * src.width() as u64 / target.w as u64) as u32;
-            if x1 <= x0 {
-                x1 = x0 + 1;
-            }
-            let (mut r, mut g, mut b) = (0u64, 0u64, 0u64);
-            for sy in y0..y1 {
-                let row = src.row(sy);
-                for sx in x0..x1 {
-                    let c = row[sx as usize];
-                    r += c.r as u64;
-                    g += c.g as u64;
-                    b += c.b as u64;
+    }
+
+    /// The source size.
+    pub fn src(&self) -> Size {
+        self.src
+    }
+
+    /// The output size.
+    pub fn dst(&self) -> Size {
+        self.dst
+    }
+
+    /// The output rectangle whose pixels read any source pixel of
+    /// `src_rect`, or `None` when no output pixel does (a sparse
+    /// downscale skips some source rows and columns).
+    pub fn footprint(&self, src_rect: Rect) -> Option<Rect> {
+        let src_rect = src_rect.intersect(Rect::new(0, 0, self.src.w, self.src.h))?;
+        let (x0, x1) = touching(&self.xs, src_rect.x as u32, src_rect.right() as u32)?;
+        let (y0, y1) = touching(&self.ys, src_rect.y as u32, src_rect.bottom() as u32)?;
+        Some(Rect::new(x0 as i32, y0 as i32, x1 - x0, y1 - y0))
+    }
+
+    /// Writes the scaled pixels of output row `y`, from column `x0`
+    /// on, into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` does not have the size the tables were built for,
+    /// or the span leaves the output.
+    pub fn scale_row(&self, src: &Framebuffer, y: u32, x0: u32, out: &mut [Color]) {
+        assert_eq!(src.size(), self.src, "source size differs from taps");
+        let x0 = x0 as usize;
+        let xs = &self.xs[x0..x0 + out.len()];
+        let ty = self.ys[y as usize];
+        if self.src == self.dst {
+            // Every filter reproduces its input at 1:1.
+            out.copy_from_slice(&src.row(y)[x0..x0 + out.len()]);
+            return;
+        }
+        match self.filter {
+            ScaleFilter::Nearest => {
+                let row = src.row(ty.first);
+                for (o, tx) in out.iter_mut().zip(xs) {
+                    *o = row[tx.first as usize];
                 }
             }
-            let n = ((y1 - y0) * (x1 - x0)) as u64;
-            out.push(Color::rgb((r / n) as u8, (g / n) as u8, (b / n) as u8));
+            ScaleFilter::Bilinear => {
+                let row0 = src.row(ty.first);
+                let row1 = src.row(ty.last);
+                for (o, tx) in out.iter_mut().zip(xs) {
+                    let (a, b) = (tx.first as usize, tx.last as usize);
+                    let top = row0[a].lerp(row0[b], tx.t);
+                    let bot = row1[a].lerp(row1[b], tx.t);
+                    *o = top.lerp(bot, ty.t);
+                }
+            }
+            ScaleFilter::Box => {
+                let rows = (ty.last - ty.first + 1) as u64;
+                for (o, tx) in out.iter_mut().zip(xs) {
+                    let (a, b) = (tx.first as usize, tx.last as usize + 1);
+                    let (mut r, mut g, mut bl) = (0u64, 0u64, 0u64);
+                    for sy in ty.first..=ty.last {
+                        for c in &src.row(sy)[a..b] {
+                            r += c.r as u64;
+                            g += c.g as u64;
+                            bl += c.b as u64;
+                        }
+                    }
+                    let n = rows * (b - a) as u64;
+                    *o = Color::rgb((r / n) as u8, (g / n) as u8, (bl / n) as u8);
+                }
+            }
         }
     }
-    dst.write_rect(dst.bounds(), &out);
-    dst
+}
+
+/// The half-open range of output indices whose taps overlap source
+/// indices `lo..hi`. Taps are monotone in the output index, so the
+/// matching indices are contiguous.
+fn touching(taps: &[Tap], lo: u32, hi: u32) -> Option<(u32, u32)> {
+    let start = taps.partition_point(|t| t.last < lo);
+    let end = taps.partition_point(|t| t.first < hi);
+    (start < end).then_some((start as u32, end as u32))
 }
 
 #[cfg(test)]
@@ -220,6 +317,61 @@ mod tests {
         assert_eq!(out.size(), Size::new(20, 10));
         let out2 = scale_to_fit(&src, Size::new(200, 20), ScaleFilter::Nearest);
         assert_eq!(out2.size(), Size::new(40, 20));
+    }
+
+    #[test]
+    fn fit_size_is_the_size_scale_to_fit_produces() {
+        const SIDES: [u32; 7] = [1, 2, 3, 7, 16, 45, 90];
+        let sizes = || {
+            SIDES
+                .iter()
+                .flat_map(|&w| SIDES.iter().map(move |&h| Size::new(w, h)))
+        };
+        for (src, bounds) in sizes().flat_map(|s| sizes().map(move |b| (s, b))) {
+            let (sw, sh) = (src.w, src.h);
+            let fb = Framebuffer::new(sw, sh, Color::BLACK);
+            for f in [
+                ScaleFilter::Nearest,
+                ScaleFilter::Bilinear,
+                ScaleFilter::Box,
+            ] {
+                assert_eq!(
+                    fit_size(src, bounds),
+                    scale_to_fit(&fb, bounds, f).size(),
+                    "{src} into {bounds} ({f})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn footprint_covers_every_output_pixel_that_reads_the_source_rect() {
+        // Change one source pixel at a time; exactly the output pixels in
+        // its footprint may change, and the footprint is tight for box.
+        let src = checkerboard(9, 7);
+        for (dst, f) in [
+            (Size::new(4, 3), ScaleFilter::Box),
+            (Size::new(4, 3), ScaleFilter::Nearest),
+            (Size::new(20, 13), ScaleFilter::Bilinear),
+            (Size::new(5, 11), ScaleFilter::Bilinear),
+        ] {
+            let taps = ScaleTaps::new(src.size(), dst, f);
+            let before = scale(&src, dst, f);
+            for p in src.bounds().pixels() {
+                let mut changed = src.clone();
+                changed.set_pixel(p, Color::rgb(10, 200, 30));
+                let after = scale(&changed, dst, f);
+                let foot = taps.footprint(Rect::new(p.x, p.y, 1, 1));
+                for q in before.bounds().pixels() {
+                    if before.pixel(q) != after.pixel(q) {
+                        assert!(
+                            foot.is_some_and(|r| r.contains(q)),
+                            "{f} {dst}: {q} changed outside footprint {foot:?} of {p}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -207,8 +207,91 @@ proptest! {
     }
 }
 
+/// The hash-map scanline diff `Framebuffer::diff_region` used before
+/// its open bands became a sorted cursor, kept as the reference for the
+/// exact rectangles (and their order) it must still produce.
+fn reference_diff_rects(a: &Framebuffer, b: &Framebuffer) -> Vec<Rect> {
+    let w = a.width() as usize;
+    let mut rects: Vec<Rect> = Vec::new();
+    let mut prev_open: std::collections::HashMap<(usize, usize), usize> =
+        std::collections::HashMap::new();
+    for y in 0..a.height() {
+        let (ra, rb) = (a.row(y), b.row(y));
+        let mut cur_open = std::collections::HashMap::new();
+        let mut x = 0usize;
+        while x < w {
+            if ra[x] == rb[x] {
+                x += 1;
+                continue;
+            }
+            let start = x;
+            while x < w && ra[x] != rb[x] {
+                x += 1;
+            }
+            let key = (start, x - start);
+            if let Some(&idx) = prev_open.get(&key) {
+                let r: Rect = rects[idx];
+                if r.bottom() == y as i32 {
+                    rects[idx] = Rect::new(r.x, r.y, r.w, r.h + 1);
+                    cur_open.insert(key, idx);
+                    continue;
+                }
+            }
+            rects.push(Rect::new(start as i32, y as i32, (x - start) as u32, 1));
+            cur_open.insert(key, rects.len() - 1);
+        }
+        prev_open = cur_open;
+    }
+    rects
+}
+
+/// A frame drawn from two colors, so diffs have long runs that line up
+/// across rows and merge into bands.
+fn arb_two_tone_fb(max_w: u32, max_h: u32) -> impl Strategy<Value = Framebuffer> {
+    (1..=max_w, 1..=max_h)
+        .prop_flat_map(|(w, h)| {
+            (
+                Just(w),
+                Just(h),
+                proptest::collection::vec(any::<bool>(), (w * h) as usize),
+                proptest::collection::vec((0i32..40, 0i32..30, 0u32..40, 0u32..30), 0..6),
+            )
+        })
+        .prop_map(|(w, h, noise, blocks)| {
+            let mut fb = Framebuffer::new(w, h, Color::BLACK);
+            // Sparse noise plus solid blocks.
+            for (i, &on) in noise.iter().enumerate() {
+                if on && i % 7 == 0 {
+                    fb.set_pixel(
+                        Point::new((i as u32 % w) as i32, (i as u32 / w) as i32),
+                        Color::WHITE,
+                    );
+                }
+            }
+            for (x, y, bw, bh) in blocks {
+                fb.fill_rect(Rect::new(x, y, bw, bh), Color::WHITE);
+            }
+            fb
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The cursor-based diff yields the same rectangles, in the same
+    /// order, as the hash-map scanline algorithm it replaced.
+    #[test]
+    fn diff_region_matches_reference(
+        a in arb_two_tone_fb(40, 30),
+        blocks in proptest::collection::vec((0i32..40, 0i32..30, 0u32..20, 0u32..20, any::<bool>()), 0..8),
+    ) {
+        let mut b = a.clone();
+        for (x, y, w, h, white) in blocks {
+            b.fill_rect(Rect::new(x, y, w, h), if white { Color::WHITE } else { Color::BLACK });
+        }
+        prop_assert_eq!(a.diff_region(&b).rects().to_vec(), reference_diff_rects(&a, &b));
+        prop_assert_eq!(b.diff_region(&a).rects().to_vec(), reference_diff_rects(&b, &a));
+    }
 
     #[test]
     fn diff_region_is_exact(fb in arb_fb(12), patch in arb_rect(), c in arb_color()) {

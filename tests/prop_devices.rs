@@ -1,8 +1,9 @@
 //! Device plug-in property tests: every input plug-in is total over
 //! arbitrary device events (no panic, and every pointer it emits lands
-//! inside the server framebuffer), and every output plug-in adapts an
+//! inside the server framebuffer), every output plug-in adapts an
 //! arbitrary framebuffer into a non-empty frame that respects its own
-//! capabilities.
+//! capabilities, and a screen plug-in that re-adapts only what changed
+//! returns exactly what a fresh one would.
 
 use proptest::prelude::*;
 use uniint::core::plugin::{InputContext, InputPlugin, OutputPlugin};
@@ -153,5 +154,202 @@ proptest! {
                 plugin.kind(),
             );
         }
+    }
+}
+
+/// One edit of the server frame between two adaptations.
+#[derive(Debug, Clone)]
+enum Step {
+    Fill(Rect, Color),
+    Copy(Rect, Point),
+    Clear(Color),
+    Noop,
+    /// Replace the frame with one of another size.
+    Resize(u32, u32, Color),
+}
+
+fn arb_color() -> impl Strategy<Value = Color> {
+    prop_oneof![
+        // Flat GUI-like colors, so edits often leave pixels unchanged...
+        proptest::sample::select(vec![
+            Color::BLACK,
+            Color::WHITE,
+            Color::GRAY,
+            Color::LIGHT_GRAY,
+            Color::BLUE,
+        ]),
+        // ...and arbitrary ones.
+        (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(r, g, b)| Color::rgb(r, g, b)),
+    ]
+}
+
+fn arb_rect() -> impl Strategy<Value = Rect> {
+    (-8i32..200, -8i32..160, 0u32..80, 0u32..60).prop_map(|(x, y, w, h)| Rect::new(x, y, w, h))
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        4 => (arb_rect(), arb_color()).prop_map(|(r, c)| Step::Fill(r, c)),
+        2 => (arb_rect(), -8i32..200, -8i32..160).prop_map(|(r, x, y)| Step::Copy(r, Point::new(x, y))),
+        1 => arb_color().prop_map(Step::Clear),
+        1 => Just(Step::Noop),
+        1 => (8u32..200, 8u32..160, arb_color()).prop_map(|(w, h, c)| Step::Resize(w, h, c)),
+    ]
+}
+
+fn screen_profiles() -> [fn() -> ScreenPlugin; 4] {
+    [
+        ScreenPlugin::phone_lcd,
+        ScreenPlugin::pda,
+        ScreenPlugin::tv,
+        ScreenPlugin::eyepiece,
+    ]
+}
+
+/// Which pixels of a `size` frame `region` covers.
+fn mask(region: &Region, size: Size) -> Vec<bool> {
+    let mut m = vec![false; size.area() as usize];
+    for r in region.iter() {
+        for p in r.pixels() {
+            m[(p.y as u32 * size.w + p.x as u32) as usize] = true;
+        }
+    }
+    m
+}
+
+/// Adapts `frames` in turn with one retained plug-in, checking each
+/// result against a fresh plug-in's frame and `changed` against the
+/// diff from the previous frame.
+fn check_retained_matches_fresh(
+    make: fn() -> ScreenPlugin,
+    frames: &[Framebuffer],
+) -> Result<(), TestCaseError> {
+    let mut retained = make();
+    let mut prev: Option<Framebuffer> = None;
+    for (i, fb) in frames.iter().enumerate() {
+        let out = retained.adapt(fb);
+        let fresh = make().adapt(fb);
+        let kind = retained.kind();
+        prop_assert!(out.frame == fresh.frame, "{kind}: step {i} frame differs");
+        let size = out.frame.size();
+        let expect = match &prev {
+            Some(prev) if prev.size() == size => prev.diff_region(&out.frame),
+            _ => Region::from_rect(out.frame.bounds()),
+        };
+        prop_assert!(
+            mask(&out.changed, size) == mask(&expect, size),
+            "{kind}: step {i} changed {:?}, diff {:?}",
+            out.changed.rects(),
+            expect.rects(),
+        );
+        prev = Some(out.frame);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Re-adapting only the changed source rows gives, at every step, the
+    /// frame a fresh plug-in gives, and a `changed` region covering
+    /// exactly the pixels that differ from the previous frame. Edits
+    /// between two adaptations may pile up, so one call can see several
+    /// dirty bands.
+    #[test]
+    fn retained_adaptation_matches_fresh(
+        w in 8u32..200,
+        h in 8u32..160,
+        background in arb_color(),
+        steps in proptest::collection::vec((arb_step(), any::<bool>()), 1..16),
+    ) {
+        let mut fb = Framebuffer::new(w, h, background);
+        let mut frames = vec![fb.clone()];
+        for (step, adapt) in &steps {
+            match *step {
+                Step::Fill(r, c) => fb.fill_rect(r, c),
+                Step::Copy(r, to) => fb.copy_rect(r, to),
+                Step::Clear(c) => fb.clear(c),
+                Step::Noop => {}
+                Step::Resize(w, h, c) => fb = Framebuffer::new(w, h, c),
+            }
+            if *adapt {
+                frames.push(fb.clone());
+            }
+        }
+        for make in screen_profiles() {
+            check_retained_matches_fresh(make, &frames)?;
+        }
+    }
+}
+
+/// A frame of black and white bars with `edit` painted on.
+fn bars(edit: Option<(Rect, Color)>) -> Framebuffer {
+    let mut fb = Framebuffer::new(256, 192, Color::BLACK);
+    for y in (0..192).step_by(24) {
+        fb.fill_rect(Rect::new(0, y, 256, 12), Color::WHITE);
+    }
+    if let Some((r, c)) = edit {
+        fb.fill_rect(r, c);
+    }
+    fb
+}
+
+#[test]
+fn floyd_steinberg_converges_below_a_black_and_white_edit() {
+    // Pure black and white quantize without error, so the error rows
+    // passed down below the edit equal the cached ones at once.
+    let edit = (Rect::new(40, 30, 50, 20), Color::WHITE);
+    let frames = [bars(None), bars(Some(edit)), bars(None)];
+    check_retained_matches_fresh(ScreenPlugin::phone_lcd, &frames).unwrap();
+    let mut p = ScreenPlugin::phone_lcd();
+    p.adapt(&frames[0]);
+    let out = p.adapt(&frames[1]);
+    assert!(!out.changed.is_empty());
+    // 256×192 → 128×96: source rows 30..50 are device rows 15..25.
+    assert!(
+        out.changed.bounding_rect().bottom() <= 25,
+        "{:?}",
+        out.changed
+    );
+}
+
+#[test]
+fn floyd_steinberg_runs_to_the_bottom_when_errors_differ() {
+    // Mid gray dithers to a pattern that any upstream change shifts, so
+    // the tail never matches the cached error rows.
+    let gray = |edit: Option<Rect>| {
+        let mut fb = Framebuffer::new(256, 192, Color::gray(100));
+        if let Some(r) = edit {
+            fb.fill_rect(r, Color::gray(180));
+        }
+        fb
+    };
+    let frames = [gray(None), gray(Some(Rect::new(10, 4, 30, 6))), gray(None)];
+    check_retained_matches_fresh(ScreenPlugin::phone_lcd, &frames).unwrap();
+    let mut p = ScreenPlugin::phone_lcd();
+    p.adapt(&frames[0]);
+    let out = p.adapt(&frames[1]);
+    assert!(
+        out.changed.bounding_rect().bottom() > 60,
+        "change should reach far below the edit: {:?}",
+        out.changed.bounding_rect()
+    );
+}
+
+#[test]
+fn bands_sharing_a_device_row_are_all_recomputed() {
+    // At a 4–5× box downscale, source rows 0 and 3 land on device row 0,
+    // so one call sees two dirty bands (split by clean rows 1–2) whose
+    // device rectangles overlap but span different columns.
+    let base = || {
+        let mut fb = Framebuffer::new(640, 452, Color::LIGHT_GRAY);
+        fb.fill_rect(Rect::new(200, 100, 120, 40), Color::BLUE);
+        fb
+    };
+    let mut edited = base();
+    edited.fill_rect(Rect::new(0, 0, 12, 1), Color::BLACK);
+    edited.fill_rect(Rect::new(400, 3, 12, 1), Color::BLACK);
+    for make in screen_profiles() {
+        check_retained_matches_fresh(make, &[base(), edited.clone(), base()]).unwrap();
     }
 }
