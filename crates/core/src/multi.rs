@@ -7,7 +7,7 @@
 //! the whole family controlling the living room from their own devices,
 //! every screen kept consistent.
 
-use crate::server::{ServerStats, UniIntServer};
+use crate::server::{EncodeMemo, ServerStats, UniIntServer};
 use uniint_protocol::message::{ClientMessage, ServerMessage};
 use uniint_telemetry::registry::Registry;
 use uniint_wsys::ui::Ui;
@@ -115,6 +115,10 @@ impl MultiServer {
         ui.render();
         let bell = ui.take_bell();
         let damage = ui.framebuffer_mut().take_damage();
+        // Viewers sharing a format and encoding set get the same bytes for
+        // the same rect; encode each once. Local, so it dies with this
+        // pump's view of the framebuffer.
+        let mut memo = EncodeMemo::default();
         let mut out = Vec::new();
         for (id, slot) in self.clients.iter_mut().enumerate() {
             let Some(server) = slot else { continue };
@@ -123,7 +127,7 @@ impl MultiServer {
                 msgs.push(ServerMessage::Bell);
             }
             server.add_damage(&damage);
-            msgs.extend(server.answer_pending(ui));
+            msgs.extend(server.answer_pending(ui, &mut memo));
             if !msgs.is_empty() {
                 out.push((id, msgs));
             }
@@ -288,6 +292,67 @@ mod tests {
             .unwrap();
         assert_eq!(p0, uniint_raster::color::Color::RED);
         assert_ne!(p0, p1, "mono client got the reduced pixel");
+    }
+
+    #[test]
+    fn shared_encodes_match_per_viewer_encodes() {
+        use uniint_protocol::encoding::Encoding;
+        use uniint_raster::color::Color;
+        use uniint_raster::pixel::PixelFormat;
+
+        // Viewers 0 and 1 share a key; 2 and 3 differ in format or set.
+        let mut rig = Rig::new(4);
+        rig.deliver(2, vec![ClientMessage::SetPixelFormat(PixelFormat::Mono1)]);
+        rig.deliver(3, vec![ClientMessage::SetEncodings(vec![Encoding::Raw])]);
+        rig.settle();
+        let before: Vec<u64> = (0..4)
+            .map(|i| viewer_stats(&rig, i).payload_bytes)
+            .collect();
+
+        let fb = rig.ui.framebuffer_mut();
+        fb.fill_rect(Rect::new(0, 0, 30, 12), Color::RED);
+        fb.fill_rect(Rect::new(100, 60, 9, 40), Color::BLUE);
+        let batches = rig.server.pump_all(&mut rig.ui);
+        assert_eq!(batches.len(), 4, "the change reaches every viewer");
+        let rects_of = |id: ClientId| -> Vec<_> {
+            let (_, msgs) = batches.iter().find(|(i, _)| *i == id).unwrap();
+            msgs.iter()
+                .flat_map(|m| match m {
+                    ServerMessage::Update { rects, .. } => rects.clone(),
+                    _ => Vec::new(),
+                })
+                .collect()
+        };
+        assert_eq!(rects_of(0), rects_of(1), "same key, same bytes");
+        assert!(rects_of(3).iter().all(|r| r.encoding == Encoding::Raw));
+        for (id, before) in before.into_iter().enumerate() {
+            let sent: u64 = rects_of(id).iter().map(|r| r.payload.len() as u64).sum();
+            let counted = viewer_stats(&rig, id).payload_bytes - before;
+            assert_eq!(counted, sent, "viewer {id} counts its own bytes");
+        }
+
+        for (id, msgs) in batches {
+            rig.receive(id, msgs);
+        }
+        rig.settle();
+        for (id, fmt) in [
+            PixelFormat::Rgb888,
+            PixelFormat::Rgb888,
+            PixelFormat::Mono1,
+            PixelFormat::Rgb888,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let server = rig.ui.framebuffer();
+            let expected: Vec<Color> = server.pixels().iter().map(|&c| fmt.reduce(c)).collect();
+            let frame = rig.proxies[id].server_frame().unwrap();
+            assert_eq!(frame.pixels(), &expected[..], "viewer {id} ({fmt})");
+        }
+    }
+
+    fn viewer_stats(rig: &Rig, id: ClientId) -> ServerStats {
+        rig.server.clients[id].as_ref().unwrap().stats()
     }
 
     #[test]

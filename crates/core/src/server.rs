@@ -7,8 +7,9 @@
 //! framebuffer updates out, keyboard/pointer events in.
 
 use std::collections::VecDeque;
-use uniint_protocol::encoding::{choose_encoding, encode_rect, Encoding};
+use uniint_protocol::encoding::{encode_auto, Encoding};
 use uniint_protocol::message::{ClientMessage, RectUpdate, ServerMessage, PROTOCOL_VERSION};
+use uniint_raster::color::Color;
 use uniint_raster::geom::Rect;
 use uniint_raster::pixel::PixelFormat;
 use uniint_raster::region::Region;
@@ -55,6 +56,54 @@ pub struct ServerStats {
     pub inputs_injected: u64,
     /// Device-health notifications received from the proxy's supervisor.
     pub health_reports: u64,
+}
+
+/// Rects already encoded in one pump, keyed by `(clipped rect, pixel
+/// format, allowed encodings)`. Every viewer answered from the same
+/// rendered framebuffer with the same key gets the same bytes, so only
+/// the first encodes; the rest copy its payload. A memo must not outlive
+/// the framebuffer state it was filled from: each pump starts a new one.
+#[derive(Debug, Default)]
+pub(crate) struct EncodeMemo {
+    entries: Vec<MemoEntry>,
+}
+
+#[derive(Debug)]
+struct MemoEntry {
+    rect: Rect,
+    format: PixelFormat,
+    allowed: Vec<Encoding>,
+    encoding: Encoding,
+    payload: Vec<u8>,
+}
+
+impl EncodeMemo {
+    /// The encoding and payload for `rect` in `format` under `allowed`,
+    /// from the memo or else from `pixels` (which the memo then keeps).
+    fn encode(
+        &mut self,
+        rect: Rect,
+        format: PixelFormat,
+        allowed: &[Encoding],
+        pixels: impl FnOnce() -> Vec<Color>,
+    ) -> (Encoding, Vec<u8>) {
+        let hit = self
+            .entries
+            .iter()
+            .find(|e| e.rect == rect && e.format == format && e.allowed == allowed);
+        if let Some(e) = hit {
+            return (e.encoding, e.payload.clone());
+        }
+        let (encoding, payload) = encode_auto(&pixels(), rect, allowed, format);
+        self.entries.push(MemoEntry {
+            rect,
+            format,
+            allowed: allowed.to_vec(),
+            encoding,
+            payload: payload.clone(),
+        });
+        (encoding, payload)
+    }
 }
 
 /// Pre-registered metric handles for one server; updates on the
@@ -269,7 +318,7 @@ impl UniIntServer {
         }
         let new_damage = ui.framebuffer_mut().take_damage();
         self.add_damage(&new_damage);
-        out.extend(self.answer_pending(ui));
+        out.extend(self.answer_pending(ui, &mut EncodeMemo::default()));
         out
     }
 
@@ -283,8 +332,10 @@ impl UniIntServer {
     }
 
     /// Answers the client's pending update request from the already
-    /// rendered framebuffer, without draining new damage.
-    pub fn answer_pending(&mut self, ui: &Ui) -> Vec<ServerMessage> {
+    /// rendered framebuffer, without draining new damage. Rects are
+    /// encoded through `memo`, which must be filled from this same
+    /// framebuffer state.
+    pub(crate) fn answer_pending(&mut self, ui: &Ui, memo: &mut EncodeMemo) -> Vec<ServerMessage> {
         let mut out = Vec::new();
         let Some(c) = &mut self.client else {
             return out;
@@ -306,12 +357,11 @@ impl UniIntServer {
         let mut rects = Vec::with_capacity(to_send.rect_count());
         let mut update_bytes = 0u64;
         for &r in to_send.rects() {
-            let (clipped, pixels) = fb.read_rect(r);
-            if clipped.is_empty() {
+            let Some(clipped) = r.intersect(fb.bounds()) else {
                 continue;
-            }
-            let encoding = choose_encoding(&pixels, clipped, &c.encodings);
-            let payload = encode_rect(&pixels, clipped, encoding, c.format);
+            };
+            let (encoding, payload) =
+                memo.encode(clipped, c.format, &c.encodings, || fb.read_rect(clipped).1);
             self.metrics.rects_sent.inc();
             self.metrics.payload_bytes.add(payload.len() as u64);
             update_bytes += payload.len() as u64;

@@ -7,11 +7,17 @@
 //! - [`Encoding::Raw`] — packed pixels, row by row.
 //! - [`Encoding::CopyRect`] — "copy from elsewhere on screen" (scrolls).
 //! - [`Encoding::Rre`] — rise-and-run-length: background + colored
-//!   subrectangles; excellent for flat GUI panels.
+//!   subrectangles; chosen for rects of at most 2 colors.
 //! - [`Encoding::Hextile`] — 16×16 tiles, each raw or bg/fg/subrects.
 //! - [`Encoding::Rle`] — simple run-length over the whole rectangle.
 //! - [`Encoding::PaletteRle`] — indexed palette + run-length, the
-//!   best fit for flat GUI content (a simplified ZRLE).
+//!   best fit for flat GUI content (a simplified ZRLE); chosen for rects
+//!   of 3 to 64 colors.
+//!
+//! [`choose_encoding`] and [`encode_auto`] read a rect's colors in one
+//! linear pass (no hashing): a small palette in first-appearance order
+//! with per-color counts, index runs and the color-change count. The
+//! PaletteRle encoder and the RRE/Hextile background reuse that pass.
 //!
 //! Encoders consume canonical [`Color`] pixels and produce wire bytes in
 //! the session's negotiated [`PixelFormat`]; decoders do the reverse.
@@ -34,7 +40,10 @@ pub enum Encoding {
     Raw,
     /// Source-offset copy within the remote framebuffer.
     CopyRect,
-    /// Background color plus colored subrectangles.
+    /// Background color plus colored subrectangles. The background is
+    /// the most frequent color; a tie goes to the color that appears
+    /// first in scanline order, so equal pixels always give equal bytes.
+    /// Hextile picks each tile's background by the same rule.
     Rre,
     /// 16×16 tiling with per-tile raw/solid/subrect modes.
     Hextile,
@@ -211,31 +220,46 @@ struct SubRect {
     h: u16,
 }
 
-/// Finds the most frequent color (the RRE background).
+/// Finds the most frequent color (the RRE background). Ties go to the
+/// color that appears first in scanline order.
 fn dominant_color(pixels: &[Color]) -> Color {
-    let mut counts: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-    for p in pixels {
-        *counts.entry(p.to_u32()).or_insert(0) += 1;
+    let scan = Scan::new(pixels, MAX_PALETTE);
+    if !scan.overflow {
+        return scan.dominant();
     }
-    counts
-        .into_iter()
-        .max_by_key(|&(_, n)| n)
-        .map(|(c, _)| Color::from_u32(c))
-        .unwrap_or(Color::BLACK)
+    // More colors than a palette holds: count by sorting (color, position)
+    // pairs, so each color's group starts at its first appearance.
+    let mut keyed: Vec<(u32, u32)> = pixels
+        .iter()
+        .zip(0u32..)
+        .map(|(c, i)| (c.to_u32(), i))
+        .collect();
+    keyed.sort_unstable();
+    let mut best = (0usize, u32::MAX, 0u32);
+    for group in keyed.chunk_by(|a, b| a.0 == b.0) {
+        let (n, first) = (group.len(), group[0].1);
+        if n > best.0 || (n == best.0 && first < best.1) {
+            best = (n, first, group[0].0);
+        }
+    }
+    Color::from_u32(best.2)
 }
 
-/// Extracts maximal same-color horizontal runs, merging vertically adjacent
-/// identical runs into taller subrects.
+/// Extracts maximal same-color horizontal runs, merging a run into the
+/// subrect directly above it when both have the same x, width and color.
 fn subrects_for(pixels: &[Color], rect: Rect, bg: Color) -> Vec<SubRect> {
     let w = rect.w as usize;
     let mut out: Vec<SubRect> = Vec::new();
-    // Open runs from the previous row keyed by (x, w, color) → index in out.
-    let mut prev_open: std::collections::HashMap<(u16, u16, u32), usize> =
-        std::collections::HashMap::new();
-    for y in 0..rect.h as usize {
-        let row = &pixels[y * w..(y + 1) * w];
-        let mut cur_open: std::collections::HashMap<(u16, u16, u32), usize> =
-            std::collections::HashMap::new();
+    // Non-background runs of the previous and current row, left to right,
+    // each with the index of the subrect it belongs to in `out`.
+    let mut prev: Vec<(usize, usize, Color, usize)> = Vec::new();
+    let mut cur: Vec<(usize, usize, Color, usize)> = Vec::new();
+    for (y, row) in pixels
+        .chunks_exact(w.max(1))
+        .take(rect.h as usize)
+        .enumerate()
+    {
+        let mut above = prev.iter().peekable();
         let mut x = 0usize;
         while x < w {
             let c = row[x];
@@ -247,32 +271,38 @@ fn subrects_for(pixels: &[Color], rect: Rect, bg: Color) -> Vec<SubRect> {
             while x < w && row[x] == c {
                 x += 1;
             }
-            let run_w = (x - start) as u16;
-            let key = (start as u16, run_w, c.to_u32());
-            if let Some(&idx) = prev_open.get(&key) {
-                // Grow the rect from the previous row.
-                if out[idx].y as usize + out[idx].h as usize == y {
+            let run_w = x - start;
+            while above.next_if(|r| r.0 < start).is_some() {}
+            let idx = match above.peek() {
+                Some(&&(ax, aw, ac, idx)) if ax == start && aw == run_w && ac == c => {
+                    // Grow the subrect from the previous row.
                     out[idx].h += 1;
-                    cur_open.insert(key, idx);
-                    continue;
+                    idx
                 }
-            }
-            out.push(SubRect {
-                color: c,
-                x: start as u16,
-                y: y as u16,
-                w: run_w,
-                h: 1,
-            });
-            cur_open.insert(key, out.len() - 1);
+                _ => {
+                    out.push(SubRect {
+                        color: c,
+                        x: start as u16,
+                        y: y as u16,
+                        w: run_w as u16,
+                        h: 1,
+                    });
+                    out.len() - 1
+                }
+            };
+            cur.push((start, run_w, c, idx));
         }
-        prev_open = cur_open;
+        std::mem::swap(&mut prev, &mut cur);
+        cur.clear();
     }
     out
 }
 
 fn encode_rre(pixels: &[Color], rect: Rect, fmt: PixelFormat) -> Vec<u8> {
-    let bg = dominant_color(pixels);
+    rre_with_bg(pixels, rect, dominant_color(pixels), fmt)
+}
+
+fn rre_with_bg(pixels: &[Color], rect: Rect, bg: Color, fmt: PixelFormat) -> Vec<u8> {
     let subs = subrects_for(pixels, rect, bg);
     let mut out = Vec::new();
     out.put_u32(subs.len() as u32);
@@ -477,41 +507,30 @@ const PRLE_SOLID: u8 = 1;
 const PRLE_INDEXED: u8 = 2;
 
 fn encode_palette_rle(pixels: &[Color], rect: Rect, fmt: PixelFormat) -> Vec<u8> {
-    // Build the palette in first-appearance order.
-    let mut palette: Vec<Color> = Vec::new();
-    let mut index: std::collections::HashMap<u32, u8> = std::collections::HashMap::new();
-    for &p in pixels {
-        if let std::collections::hash_map::Entry::Vacant(e) = index.entry(p.to_u32()) {
-            if palette.len() == 255 {
-                // Too many colors: raw fallback.
-                let mut out = vec![PRLE_RAW];
-                out.extend(encode_raw(pixels, rect, fmt));
-                return out;
-            }
-            e.insert(palette.len() as u8);
-            palette.push(p);
-        }
-    }
-    if palette.len() == 1 {
-        let mut out = vec![PRLE_SOLID];
-        put_pixel(fmt, palette[0], &mut out);
+    palette_rle_from(&Scan::new(pixels, MAX_PALETTE), pixels, rect, fmt)
+}
+
+/// Writes the PaletteRle payload from a scan of `pixels`; an overflowed
+/// scan (more colors than a palette holds) falls back to raw packing.
+fn palette_rle_from(scan: &Scan, pixels: &[Color], rect: Rect, fmt: PixelFormat) -> Vec<u8> {
+    if scan.overflow {
+        let mut out = vec![PRLE_RAW];
+        out.extend(encode_raw(pixels, rect, fmt));
         return out;
     }
-    let mut out = vec![PRLE_INDEXED, palette.len() as u8];
-    for &c in &palette {
+    if let [solid] = scan.palette[..] {
+        let mut out = vec![PRLE_SOLID];
+        put_pixel(fmt, solid, &mut out);
+        return out;
+    }
+    let mut out = vec![PRLE_INDEXED, scan.palette.len() as u8];
+    for &c in &scan.palette {
         put_pixel(fmt, c, &mut out);
     }
     // Index runs: (u8 index, u16 len).
-    let mut runs: Vec<(u8, u16)> = Vec::new();
-    for &p in pixels {
-        let idx = index[&p.to_u32()];
-        match runs.last_mut() {
-            Some((i, n)) if *i == idx && *n < u16::MAX => *n += 1,
-            _ => runs.push((idx, 1)),
-        }
-    }
-    out.put_u32(runs.len() as u32);
-    for (i, n) in runs {
+    out.reserve(4 + 3 * scan.runs.len());
+    out.put_u32(scan.runs.len() as u32);
+    for &(i, n) in &scan.runs {
         out.push(i);
         out.put_u16(n);
     }
@@ -568,42 +587,147 @@ fn decode_palette_rle(buf: &mut impl Buf, rect: Rect, fmt: PixelFormat) -> Resul
     }
 }
 
-/// Picks a good encoding for `pixels` by content inspection: solid and
-/// low-color rects go to RRE, mid-complexity to Hextile, photographic
-/// content to Raw. `allowed` restricts the choice (from `SetEncodings`).
+// --------------------------------------------------------------- scan --
+
+/// Most colors a PaletteRle palette holds; one more forces raw fallback.
+const MAX_PALETTE: usize = 255;
+
+/// Most colors [`choose_encoding`] tells apart; it stops looking at the
+/// next one.
+const CHOOSER_COLORS: usize = 64;
+
+/// What one linear pass over a rect's pixels found: everything the
+/// chooser, the PaletteRle encoder and the RRE/Hextile background need.
+struct Scan {
+    /// Distinct colors in first-appearance order.
+    palette: Vec<Color>,
+    /// `counts[i]` pixels have color `palette[i]`.
+    counts: Vec<u32>,
+    /// Palette-index runs in scanline order, each at most `u16::MAX` long.
+    runs: Vec<(u8, u16)>,
+    /// Color changes in scanline order, the first pixel included.
+    transitions: usize,
+    /// The pass stopped at a color past its limit; the other fields then
+    /// cover only the pixels before that color.
+    overflow: bool,
+}
+
+impl Scan {
+    /// Scans `pixels` in scanline order, stopping at the first color past
+    /// `max_colors` (at most [`MAX_PALETTE`], so indices fit a byte).
+    fn new(pixels: &[Color], max_colors: usize) -> Scan {
+        debug_assert!(max_colors <= MAX_PALETTE);
+        let mut scan = Scan {
+            palette: Vec::new(),
+            counts: Vec::new(),
+            runs: Vec::new(),
+            transitions: 0,
+            overflow: false,
+        };
+        let mut rest = pixels;
+        // Walking whole runs compares each pixel with the previous one
+        // first; the palette is searched once per run, not per pixel.
+        while let Some(&c) = rest.first() {
+            let len = rest.iter().position(|&p| p != c).unwrap_or(rest.len());
+            rest = &rest[len..];
+            scan.transitions += 1;
+            let idx = match scan.palette.iter().position(|&p| p == c) {
+                Some(i) => i,
+                None if scan.palette.len() == max_colors => {
+                    scan.overflow = true;
+                    break;
+                }
+                None => {
+                    scan.palette.push(c);
+                    scan.counts.push(0);
+                    scan.palette.len() - 1
+                }
+            };
+            scan.counts[idx] += len as u32;
+            let full = len / u16::MAX as usize;
+            scan.runs
+                .extend(std::iter::repeat_n((idx as u8, u16::MAX), full));
+            let tail = len % u16::MAX as usize;
+            if tail > 0 {
+                scan.runs.push((idx as u8, tail as u16));
+            }
+        }
+        scan
+    }
+
+    /// The most frequent color, ties to the first to appear; black for no
+    /// pixels. Meaningful only for a scan that did not overflow.
+    fn dominant(&self) -> Color {
+        let mut best: Option<(Color, u32)> = None;
+        for (&c, &n) in self.palette.iter().zip(&self.counts) {
+            if best.is_none_or(|(_, m)| n > m) {
+                best = Some((c, n));
+            }
+        }
+        best.map_or(Color::BLACK, |(c, _)| c)
+    }
+
+    /// The chooser's rule, from a scan limited to [`CHOOSER_COLORS`].
+    fn choose(&self, rect: Rect, allowed: &[Encoding]) -> Encoding {
+        let allows = |e: Encoding| allowed.contains(&e);
+        // Distinct colors seen, counting the one that stopped the scan.
+        let distinct = self.palette.len() + usize::from(self.overflow);
+        let area = rect.area().max(1) as usize;
+        let density = self.transitions as f64 / area as f64;
+        if distinct <= 2 && allows(Encoding::Rre) {
+            return Encoding::Rre;
+        }
+        if distinct <= CHOOSER_COLORS && allows(Encoding::PaletteRle) {
+            return Encoding::PaletteRle;
+        }
+        if density < 0.05 && allows(Encoding::Rle) {
+            return Encoding::Rle;
+        }
+        if distinct <= CHOOSER_COLORS && allows(Encoding::Hextile) {
+            return Encoding::Hextile;
+        }
+        if allows(Encoding::Raw) {
+            return Encoding::Raw;
+        }
+        *allowed.first().unwrap_or(&Encoding::Raw)
+    }
+}
+
+/// Picks a good encoding for `pixels` by content inspection. In order of
+/// preference: at most 2 colors go to RRE, at most 64 colors to
+/// PaletteRle, few color changes (under one per 20 pixels) to RLE, at most
+/// 64 colors to Hextile, and anything else to Raw. Each rule applies only
+/// if `allowed` (from `SetEncodings`) lists its encoding; when none does,
+/// the first allowed encoding is returned.
 pub fn choose_encoding(pixels: &[Color], rect: Rect, allowed: &[Encoding]) -> Encoding {
-    let allows = |e: Encoding| allowed.contains(&e);
-    let mut distinct = std::collections::HashSet::new();
-    let mut transitions = 0usize;
-    let mut prev: Option<Color> = None;
-    for &p in pixels {
-        distinct.insert(p.to_u32());
-        if prev != Some(p) {
-            transitions += 1;
-            prev = Some(p);
-        }
-        if distinct.len() > 64 {
-            break;
-        }
-    }
-    let area = rect.area().max(1) as usize;
-    let density = transitions as f64 / area as f64;
-    if distinct.len() <= 2 && allows(Encoding::Rre) {
-        return Encoding::Rre;
-    }
-    if distinct.len() <= 64 && allows(Encoding::PaletteRle) {
-        return Encoding::PaletteRle;
-    }
-    if density < 0.05 && allows(Encoding::Rle) {
-        return Encoding::Rle;
-    }
-    if distinct.len() <= 64 && allows(Encoding::Hextile) {
-        return Encoding::Hextile;
-    }
-    if allows(Encoding::Raw) {
-        return Encoding::Raw;
-    }
-    *allowed.first().unwrap_or(&Encoding::Raw)
+    Scan::new(pixels, CHOOSER_COLORS).choose(rect, allowed)
+}
+
+/// Chooses an encoding as [`choose_encoding`] does and encodes `pixels`
+/// with it, as [`encode_rect`] would, reading the pixels' colors once for
+/// both steps.
+///
+/// # Panics
+///
+/// As [`encode_rect`]: if `pixels.len() != rect.area()`, or if the only
+/// allowed encoding left is [`Encoding::CopyRect`].
+pub fn encode_auto(
+    pixels: &[Color],
+    rect: Rect,
+    allowed: &[Encoding],
+    fmt: PixelFormat,
+) -> (Encoding, Vec<u8>) {
+    assert_eq!(pixels.len() as u64, rect.area(), "pixel count mismatch");
+    let scan = Scan::new(pixels, CHOOSER_COLORS);
+    let encoding = scan.choose(rect, allowed);
+    // A scan that did not overflow has seen every color, so it serves the
+    // encoder too; otherwise the encoder scans with its own limit.
+    let payload = match encoding {
+        Encoding::PaletteRle if !scan.overflow => palette_rle_from(&scan, pixels, rect, fmt),
+        Encoding::Rre if !scan.overflow => rre_with_bg(pixels, rect, scan.dominant(), fmt),
+        e => encode_rect(pixels, rect, e, fmt),
+    };
+    (encoding, payload)
 }
 
 #[cfg(test)]
@@ -816,12 +940,49 @@ mod tests {
         let subs = subrects_for(&px, rect, Color::BLACK);
         assert_eq!(subs.len(), 1, "vertically merged: {subs:?}");
         assert_eq!(subs[0].h, 2);
-    }
-}
 
-#[cfg(test)]
-mod palette_rle_tests {
-    use super::*;
+        // Same width and color, shifted by one column: no merge.
+        let mut px = vec![Color::BLACK; 32];
+        px[9] = Color::RED;
+        px[10] = Color::RED;
+        px[18] = Color::RED;
+        px[19] = Color::RED;
+        let subs = subrects_for(&px, rect, Color::BLACK);
+        assert_eq!(subs.len(), 2, "offset runs stay apart: {subs:?}");
+        assert_eq!((subs[0].x, subs[0].y, subs[0].h), (1, 1, 1));
+        assert_eq!((subs[1].x, subs[1].y, subs[1].h), (2, 2, 1));
+    }
+
+    #[test]
+    fn background_ties_go_to_first_color() {
+        let rect = Rect::new(0, 0, 4, 1);
+        let px = [Color::RED, Color::RED, Color::BLUE, Color::BLUE];
+        let rre = encode_rect(&px, rect, Encoding::Rre, PixelFormat::Rgb888);
+        #[rustfmt::skip]
+        let expected = [
+            0, 0, 0, 1,         // one subrect
+            255, 0, 0,          // background: red, the first of the tie
+            0, 0, 255, 0, 2, 0, 0, 0, 2, 0, 1, // blue at (2, 0), 2x1
+        ];
+        assert_eq!(rre, expected);
+
+        // Left half white, right half black: one tile, white background.
+        let rect = Rect::new(0, 0, 16, 16);
+        let px: Vec<Color> = (0..256)
+            .map(|i| {
+                if i % 16 < 8 {
+                    Color::WHITE
+                } else {
+                    Color::BLACK
+                }
+            })
+            .collect();
+        let hextile = encode_rect(&px, rect, Encoding::Hextile, PixelFormat::Rgb888);
+        let flags = HEX_SUBRECTS | HEX_COLOURED | HEX_BG;
+        // Background white; one black subrect at (8, 0), 8x16.
+        let expected = [flags, 255, 255, 255, 1, 0, 0, 0, 0x80, 0x7f];
+        assert_eq!(hextile, expected);
+    }
 
     #[test]
     fn solid_is_two_bytes_plus_pixel() {

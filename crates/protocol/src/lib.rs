@@ -11,8 +11,9 @@
 //! authors build on (VNC, Citrix, Sun Ray). This crate provides:
 //!
 //! - [`input`] — universal input events ([`input::InputEvent`]);
-//! - [`encoding`] — five framebuffer-update encodings (Raw, CopyRect,
-//!   RRE, Hextile, RLE) with content-based selection;
+//! - [`encoding`] — six framebuffer-update encodings (Raw, CopyRect,
+//!   RRE, Hextile, RLE, PaletteRle) with content-based selection: at most
+//!   2 colors go to RRE, at most 64 to PaletteRle;
 //! - [`message`] — the client/server message vocabulary with robust
 //!   length-prefixed framing ([`message::FrameReader`]);
 //! - [`error`] — decoder errors that are returned, never panicked.
@@ -56,7 +57,8 @@ pub mod wire;
 /// Convenient re-exports of the protocol surface.
 pub mod prelude {
     pub use crate::encoding::{
-        choose_encoding, decode_rect, encode_copy_rect, encode_rect, DecodedRect, Encoding,
+        choose_encoding, decode_rect, encode_auto, encode_copy_rect, encode_rect, DecodedRect,
+        Encoding,
     };
     pub use crate::error::ProtocolError;
     pub use crate::input::{ButtonMask, InputEvent, KeySym};

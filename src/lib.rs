@@ -46,6 +46,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use uniint_apps as apps;
 pub use uniint_core as core;
 pub use uniint_devices as devices;
