@@ -19,7 +19,8 @@
 //!   situation changes — cooking selects voice, the sofa selects the
 //!   remote and the TV;
 //! - [`session`] wires the pieces end-to-end, in memory or across the
-//!   network simulator;
+//!   network simulator, and [`client::ClientSession`] is the one
+//!   connection-recovery state machine every transport drives;
 //! - [`supervisor`] hardens the device boundary: plug-in calls run in
 //!   fault-isolating shims, per-device health drives quarantine and
 //!   automatic failover, and a built-in fallback terminal keeps the
@@ -28,6 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod client;
 pub mod context;
 pub mod coordinator;
 pub mod multi;
@@ -41,6 +43,7 @@ pub mod tap;
 
 /// Convenient re-exports of the core surface.
 pub mod prelude {
+    pub use crate::client::{Backoff, ClientSession};
     pub use crate::context::{
         Activity, DeviceDescriptor, InputModality, Noise, OutputProfile, SelectionPolicy,
         Situation, UserProfile,

@@ -2,12 +2,11 @@
 //! UniInt proxy together — in memory ([`LocalSession`]) or across the
 //! network simulator ([`SimSession`]).
 
+use crate::client::{Backoff, ClientSession};
 use crate::plugin::{DeviceEvent, DeviceFrame};
 use crate::proxy::UniIntProxy;
 use crate::server::UniIntServer;
 use crate::tap::{Direction, SharedTap};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use uniint_netsim::link::LinkProfile;
 use uniint_netsim::sim::{Endpoint, Simulator};
 use uniint_protocol::error::ProtocolError;
@@ -169,15 +168,8 @@ impl LocalSession {
     }
 }
 
-/// First backoff delay before a reconnect attempt, microseconds.
-const BACKOFF_BASE_US: u64 = 20_000;
-/// Backoff delay ceiling, microseconds.
-const BACKOFF_CAP_US: u64 = 1_000_000;
-/// Reconnect attempts per stall before declaring the session dead.
-const MAX_BACKOFF_ATTEMPTS: u32 = 16;
-/// Consecutive resume attempts that may die on the wire before the
-/// session escalates to a full refresh instead of an incremental one.
-const MAX_FAILED_RESUMES: u32 = 3;
+/// The simulator's reconnect schedule: 20 ms doubling to 1 s, 16 attempts.
+const BACKOFF: Backoff = Backoff::new(20_000, 1_000_000, 16);
 
 /// A session whose server↔proxy wire crosses the discrete-event network
 /// simulator, with full protocol serialization. Used to measure update
@@ -186,49 +178,32 @@ const MAX_FAILED_RESUMES: u32 = 3;
 /// The session is **self-healing**: hard link faults (flap windows,
 /// Gilbert–Elliott burst drops) tear the simulated connection down, and
 /// [`SimSession::settle`] detects the stall (network idle while the link
-/// is down), reconnects with exponential backoff plus deterministic
-/// jitter, and resumes the protocol session incrementally — the proxy
-/// asks the server to replay only the updates it missed
-/// ([`ClientMessage::Resume`]) and retransmits its own lost client
-/// messages from a session-side log once the server reports how many it
-/// received ([`ServerMessage::ResumeAck`]). After `MAX_FAILED_RESUMES`
-/// resume attempts are themselves lost, the session falls back to a full
-/// framebuffer refresh. All recovery activity is visible in
+/// is down), waits out the [`ClientSession`]'s backoff in virtual time,
+/// and lets it resume the protocol session incrementally (see
+/// [`crate::client`]). All recovery activity is visible in
 /// [`crate::proxy::ProxyStats`].
 #[derive(Debug)]
 pub struct SimSession {
     /// The UniInt server endpoint.
     pub server: UniIntServer,
-    /// The UniInt proxy endpoint.
-    pub proxy: UniIntProxy,
+    /// The UniInt proxy endpoint, inside its recovery state machine
+    /// (dereferences to [`crate::proxy::UniIntProxy`]).
+    pub proxy: ClientSession,
     /// The virtual network.
     pub sim: Simulator,
     server_ep: Endpoint,
     proxy_ep: Endpoint,
     server_rx: FrameReader,
     proxy_rx: FrameReader,
-    last_frame: Option<DeviceFrame>,
-    frames_delivered: u64,
-    /// Every client message sent this session except `Resume`, in send
-    /// order, minus an already-acknowledged prefix of `log_offset`
-    /// messages. The server counts received client messages the same
-    /// way, so `ResumeAck::client_msgs_received` indexes straight into
-    /// this log: everything at or past that count was lost in flight
-    /// and is retransmitted verbatim.
-    client_log: Vec<ClientMessage>,
-    /// Messages dropped from the front of `client_log` (known received).
-    log_offset: u64,
-    /// Dedicated RNG for backoff jitter, seeded from the connect seed so
-    /// recovery timing is exactly reproducible.
-    backoff_rng: StdRng,
-    /// A `Resume` is on the wire and unacknowledged.
-    resume_pending: bool,
-    /// Consecutive resumes that stalled again before their ack arrived.
-    failed_resumes: u32,
     /// Flight-recorder tap, if any: sees every client message the server
     /// consumes and every server message it produces (channel 0),
     /// stamped with virtual time. `None` costs one branch per message.
     recorder: Option<SharedTap>,
+}
+
+/// The proxy's side of the simulated wire, as a [`ClientSession`] sink.
+fn wire(sim: &mut Simulator, ep: Endpoint) -> impl FnMut(&ClientMessage) + '_ {
+    move |m| sim.send(ep, encode_client(m))
 }
 
 impl SimSession {
@@ -254,24 +229,19 @@ impl SimSession {
         let (proxy_ep, server_ep) = sim.link(link);
         let mut s = SimSession {
             server: UniIntServer::with_telemetry(ui, registry.clone()),
-            proxy: UniIntProxy::with_telemetry("sim-proxy", registry),
+            proxy: ClientSession::new(
+                UniIntProxy::with_telemetry("sim-proxy", registry),
+                seed,
+                BACKOFF,
+            ),
             sim,
             server_ep,
             proxy_ep,
             server_rx: FrameReader::new(),
             proxy_rx: FrameReader::new(),
-            last_frame: None,
-            frames_delivered: 0,
-            client_log: Vec::new(),
-            log_offset: 0,
-            backoff_rng: StdRng::seed_from_u64(seed ^ 0x5e55_10e5_b0ff_0e5e),
-            resume_pending: false,
-            failed_resumes: 0,
             recorder,
         };
-        for m in s.proxy.connect() {
-            s.send_logged(m);
-        }
+        s.proxy.open(wire(&mut s.sim, proxy_ep));
         s.settle(ui)?;
         Ok(s)
     }
@@ -300,12 +270,12 @@ impl SimSession {
 
     /// Frames delivered to the output device so far.
     pub fn frames_delivered(&self) -> u64 {
-        self.frames_delivered
+        self.proxy.frames_delivered()
     }
 
     /// The most recent adapted frame.
     pub fn last_frame(&self) -> Option<&DeviceFrame> {
-        self.last_frame.as_ref()
+        self.proxy.last_frame()
     }
 
     /// Total bytes the server sent over the wire.
@@ -316,10 +286,8 @@ impl SimSession {
     /// Injects a device event at the proxy side and advances the network
     /// until idle.
     pub fn device_input(&mut self, ui: &mut Ui, ev: &DeviceEvent) -> Result<(), SessionError> {
-        for m in self.proxy.device_input(ev) {
-            self.send_logged(m);
-        }
-        self.settle(ui)
+        let msgs = self.proxy.device_input(ev);
+        self.send_client(ui, msgs)
     }
 
     /// Sends proxy-originated protocol messages (e.g. the renegotiation
@@ -330,21 +298,8 @@ impl SimSession {
         ui: &mut Ui,
         msgs: Vec<ClientMessage>,
     ) -> Result<(), SessionError> {
-        for m in msgs {
-            self.send_logged(m);
-        }
+        self.proxy.send(msgs, wire(&mut self.sim, self.proxy_ep));
         self.settle(ui)
-    }
-
-    /// Sends a client message and appends it to the retransmission log.
-    ///
-    /// Every regular client message must travel through here so the log
-    /// stays aligned with the server's received-message count; `Resume`
-    /// itself and retransmissions bypass it (the server excludes the
-    /// former from its count, and the latter are already logged).
-    fn send_logged(&mut self, m: ClientMessage) {
-        self.sim.send(self.proxy_ep, encode_client(&m));
-        self.client_log.push(m);
     }
 
     /// Flushes application-side UI changes into the network and runs it
@@ -382,21 +337,8 @@ impl SimSession {
             }
             while let Some(frame) = self.proxy_rx.next_frame()? {
                 let msg = ServerMessage::decode_body(&mut frame.as_slice())?;
-                if let ServerMessage::ResumeAck {
-                    client_msgs_received,
-                    ..
-                } = &msg
-                {
-                    self.on_resume_ack(*client_msgs_received);
-                }
-                let out = self.proxy.handle_server(&msg)?;
-                if let Some(f) = out.frame {
-                    self.last_frame = Some(f);
-                    self.frames_delivered += 1;
-                }
-                for m in out.messages {
-                    self.send_logged(m);
-                }
+                self.proxy
+                    .on_server(&msg, wire(&mut self.sim, self.proxy_ep))?;
             }
         }
     }
@@ -411,79 +353,25 @@ impl SimSession {
         self.sim.send(self.server_ep, bytes);
     }
 
-    /// Brings a torn-down link back up (exponential backoff + jitter)
-    /// and restarts the protocol conversation on top of it.
+    /// Brings a torn-down link back up, waiting out each backoff delay
+    /// in virtual time, and restarts the protocol conversation on top.
     fn recover_connection(&mut self) -> Result<(), SessionError> {
         // Records elapsed virtual time into `session.recovery_us` when
         // it drops, whichever way the recovery ends.
         let _span = self.proxy.telemetry().span("session.recovery");
-        self.proxy.record_stall();
-        let mut delay = BACKOFF_BASE_US;
-        let mut attempts = 0u32;
+        self.proxy.on_stall();
         loop {
-            if attempts >= MAX_BACKOFF_ATTEMPTS {
-                return Err(SessionError::Stalled { attempts });
-            }
-            attempts += 1;
-            self.proxy.record_backoff_attempt();
-            let jitter = self.backoff_rng.gen_range(0..=delay / 4);
-            self.sim.advance(delay + jitter);
+            let delay = self
+                .proxy
+                .next_backoff()
+                .map_err(|attempts| SessionError::Stalled { attempts })?;
+            self.sim.advance(delay);
             if self.sim.reconnect(self.proxy_ep) {
                 break;
             }
-            delay = (delay * 2).min(BACKOFF_CAP_US);
         }
-        if !self.proxy.is_connected() {
-            // The break beat the handshake: nothing to resume, start over.
-            self.client_log.clear();
-            self.log_offset = 0;
-            self.resume_pending = false;
-            self.failed_resumes = 0;
-            for m in self.proxy.connect() {
-                self.send_logged(m);
-            }
-            return Ok(());
-        }
-        if self.resume_pending {
-            self.failed_resumes += 1;
-        }
-        self.resume_pending = true;
-        // Resume is deliberately not logged: the server leaves it out of
-        // its received-message count.
-        let resume = self.proxy.make_resume();
-        self.sim.send(self.proxy_ep, encode_client(&resume));
-        if self.failed_resumes >= MAX_FAILED_RESUMES {
-            // Incremental resume keeps dying on the wire — escalate to a
-            // full refresh (lost inputs are still retransmitted when the
-            // ResumeAck for the resume above lands).
-            self.failed_resumes = 0;
-            for m in self.proxy.recover() {
-                self.send_logged(m);
-            }
-        }
+        self.proxy.on_reconnect(wire(&mut self.sim, self.proxy_ep));
         Ok(())
-    }
-
-    /// Reacts to the server's resume handshake: retransmits, in original
-    /// order, every logged client message the server reports missing.
-    fn on_resume_ack(&mut self, client_msgs_received: u64) {
-        self.resume_pending = false;
-        self.failed_resumes = 0;
-        let start = client_msgs_received.saturating_sub(self.log_offset) as usize;
-        let missing: Vec<ClientMessage> = match self.client_log.get(start..) {
-            Some(tail) => tail.to_vec(),
-            None => Vec::new(),
-        };
-        self.proxy.record_retransmits(missing.len() as u64);
-        for m in &missing {
-            // Already logged the first time around.
-            self.sim.send(self.proxy_ep, encode_client(m));
-        }
-        if start > 0 {
-            // Everything before the ack count is known-received; drop it.
-            self.client_log.drain(..start.min(self.client_log.len()));
-            self.log_offset = client_msgs_received.min(self.log_offset + start as u64);
-        }
     }
 }
 

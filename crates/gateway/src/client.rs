@@ -1,31 +1,32 @@
 //! The proxy-side connection lifecycle over a real TCP socket.
 //!
-//! [`GatewayClient`] wraps a [`uniint_core::proxy::UniIntProxy`] with
-//! everything a socket adds to the paper's in-process story: stall
-//! detection (EOF, write failure, read error), reconnection under
-//! seeded exponential backoff with jitter, and **incremental resume** —
-//! after a break the client reattaches with a raw `Hello` + `Resume`
-//! (neither logged, mirroring the server's accounting), receives the
-//! damage it missed, and retransmits its own lost messages from a
-//! session-side log once `ResumeAck` reports how many arrived.
-//!
-//! This is the same recovery machinery proven deterministic in the
-//! network simulator ([`uniint_core::session::SimSession`]), rehosted
-//! on `std::net::TcpStream`.
+//! [`GatewayClient`] is a thin driver over
+//! [`uniint_core::client::ClientSession`], the same recovery state
+//! machine [`uniint_core::session::SimSession`] runs over the network
+//! simulator. The session decides *what* to send — retransmit log,
+//! seeded backoff with jitter, incremental `Resume`, escalation to a
+//! full refresh after repeated failed resumes. This driver only moves
+//! bytes through a [`FramedSocket`], detects stalls (EOF or a read
+//! error; a failed write surfaces as one), sleeps the backoff delays
+//! the session returns, and re-attaches by name with an unlogged
+//! `Hello` before the session's `Resume` (the gateway keys sessions by
+//! client name).
 
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use uniint_core::plugin::{DeviceEvent, DeviceFrame, InputPlugin, OutputPlugin};
+use uniint_core::client::{Backoff, ClientSession};
+use uniint_core::plugin::{DeviceEvent, OutputPlugin};
 use uniint_core::proxy::{ProxyStats, UniIntProxy};
 use uniint_protocol::error::ProtocolError;
 use uniint_protocol::message::{ClientMessage, ServerMessage, PROTOCOL_VERSION};
 use uniint_telemetry::registry::Registry;
 
 use crate::codec::{FramedSocket, ReadStatus, DEFAULT_MAX_FRAME};
+
+/// The TCP reconnect schedule: 10 ms doubling to 500 ms, 10 attempts.
+const BACKOFF: Backoff = Backoff::new(10_000, 500_000, 10);
 
 /// Tuning knobs for a [`GatewayClient`].
 #[derive(Debug, Clone)]
@@ -34,15 +35,6 @@ pub struct ClientConfig {
     pub max_frame: usize,
     /// Socket read timeout per [`GatewayClient::pump_once`] call.
     pub poll: Duration,
-    /// First reconnect backoff delay.
-    pub backoff_base: Duration,
-    /// Reconnect backoff ceiling.
-    pub backoff_cap: Duration,
-    /// Reconnect attempts per stall before giving up.
-    pub max_attempts: u32,
-    /// Send a keepalive (incremental update request) after this long
-    /// without outbound traffic. `None` disables keepalives.
-    pub keepalive: Option<Duration>,
 }
 
 impl Default for ClientConfig {
@@ -50,10 +42,6 @@ impl Default for ClientConfig {
         ClientConfig {
             max_frame: DEFAULT_MAX_FRAME,
             poll: Duration::from_millis(10),
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(500),
-            max_attempts: 10,
-            keepalive: None,
         }
     }
 }
@@ -109,22 +97,24 @@ impl std::error::Error for GatewayError {
 /// A UniInt proxy attached to a [`crate::host::Gateway`] over TCP.
 #[derive(Debug)]
 pub struct GatewayClient {
-    /// The protocol engine: framebuffer cache, device plug-ins, stats.
-    pub proxy: UniIntProxy,
-    name: String,
+    /// The protocol engine inside its recovery state machine
+    /// (dereferences to [`UniIntProxy`]): framebuffer cache, device
+    /// plug-ins, adapted frames, stats.
+    pub proxy: ClientSession,
     addr: SocketAddr,
     cfg: ClientConfig,
     sock: FramedSocket,
-    /// Every client message sent this session except `Hello`/`Resume`
-    /// replays, minus an already-acknowledged prefix of `log_offset`
-    /// messages — exactly the `SimSession` retransmission log.
-    client_log: Vec<ClientMessage>,
-    log_offset: u64,
-    backoff_rng: StdRng,
-    last_frame: Option<DeviceFrame>,
-    frames_delivered: u64,
-    bells: u32,
-    last_send: Instant,
+}
+
+/// The socket as a [`ClientSession`] sink.
+///
+/// Write errors are deliberately swallowed: a regular message *is*
+/// logged, the broken socket surfaces as EOF on the next read, and the
+/// resume handshake retransmits everything the server never saw.
+fn wire(sock: &mut FramedSocket) -> impl FnMut(&ClientMessage) + '_ {
+    move |m| {
+        let _ = sock.send_client(m);
+    }
 }
 
 impl GatewayClient {
@@ -146,26 +136,16 @@ impl GatewayClient {
         cfg: ClientConfig,
         registry: Registry,
     ) -> Result<GatewayClient, GatewayError> {
-        let name = name.into();
         let stream = TcpStream::connect(addr)?;
         let sock = FramedSocket::new(stream, cfg.max_frame, cfg.poll)?;
+        let proxy = UniIntProxy::with_telemetry(name, registry);
         let mut c = GatewayClient {
-            proxy: UniIntProxy::with_telemetry(name.clone(), registry),
-            name,
+            proxy: ClientSession::new(proxy, seed, BACKOFF),
             addr,
             cfg,
             sock,
-            client_log: Vec::new(),
-            log_offset: 0,
-            backoff_rng: StdRng::seed_from_u64(seed ^ 0x5e55_10e5_b0ff_0e5e),
-            last_frame: None,
-            frames_delivered: 0,
-            bells: 0,
-            last_send: Instant::now(),
         };
-        for m in c.proxy.connect() {
-            c.send_logged(m);
-        }
+        c.proxy.open(wire(&mut c.sock));
         let deadline = Instant::now() + Duration::from_secs(10);
         while !c.proxy.is_connected() {
             c.pump_once()?;
@@ -179,63 +159,29 @@ impl GatewayClient {
         Ok(c)
     }
 
-    /// The client name sessions are keyed by.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Accumulated proxy statistics (stalls, resumes, retransmits...).
     pub fn stats(&self) -> ProxyStats {
         self.proxy.stats()
     }
 
-    /// Bell count so far.
-    pub fn bells(&self) -> u32 {
-        self.bells
-    }
-
-    /// Frames delivered to the output device so far.
-    pub fn frames_delivered(&self) -> u64 {
-        self.frames_delivered
-    }
-
-    /// The most recent adapted device frame.
-    pub fn last_frame(&self) -> Option<&DeviceFrame> {
-        self.last_frame.as_ref()
-    }
-
-    /// Takes the most recent adapted frame.
-    pub fn take_frame(&mut self) -> Option<DeviceFrame> {
-        self.last_frame.take()
-    }
-
-    /// Installs an input plug-in (see [`UniIntProxy::attach_input`]).
-    pub fn attach_input(&mut self, plugin: Box<dyn InputPlugin>) {
-        self.proxy.attach_input(plugin);
-    }
-
     /// Installs an output plug-in and sends the session renegotiation it
     /// requires (pixel format, encodings, full refresh).
     pub fn attach_output(&mut self, plugin: Box<dyn OutputPlugin>) {
-        for m in self.proxy.attach_output(plugin) {
-            self.send_logged(m);
-        }
+        let msgs = self.proxy.attach_output(plugin);
+        self.send_messages(msgs);
     }
 
     /// Translates a device-native event through the input plug-in and
     /// sends the resulting protocol messages.
     pub fn device_input(&mut self, ev: &DeviceEvent) {
-        for m in self.proxy.device_input(ev) {
-            self.send_logged(m);
-        }
+        let msgs = self.proxy.device_input(ev);
+        self.send_messages(msgs);
     }
 
     /// Sends arbitrary client messages (they enter the retransmission
     /// log like any other traffic).
     pub fn send_messages(&mut self, msgs: Vec<ClientMessage>) {
-        for m in msgs {
-            self.send_logged(m);
-        }
+        self.proxy.send(msgs, wire(&mut self.sock));
     }
 
     /// Severs the TCP connection abruptly, as a cable pull or crashed
@@ -257,19 +203,6 @@ impl GatewayClient {
     /// the whole backoff budget; [`GatewayError::Protocol`] on an
     /// undecodable (hostile) byte stream.
     pub fn pump_once(&mut self) -> Result<bool, GatewayError> {
-        if let Some(k) = self.cfg.keepalive {
-            if self.last_send.elapsed() > k && self.proxy.is_connected() {
-                let ka = ClientMessage::UpdateRequest {
-                    incremental: true,
-                    rect: self
-                        .proxy
-                        .server_frame()
-                        .map(|f| f.bounds())
-                        .unwrap_or(uniint_raster::geom::Rect::EMPTY),
-                };
-                self.send_logged(ka);
-            }
-        }
         match self.sock.fill() {
             Ok(ReadStatus::Idle) => Ok(false),
             Ok(ReadStatus::Eof) | Err(_) => {
@@ -278,125 +211,44 @@ impl GatewayClient {
             }
             Ok(ReadStatus::Data(_)) => {
                 let mut processed = false;
-                loop {
-                    match self.sock.next_frame() {
-                        Ok(Some(frame)) => {
-                            processed = true;
-                            let msg = ServerMessage::decode_body(&mut frame.as_slice())?;
-                            if let ServerMessage::ResumeAck {
-                                client_msgs_received,
-                                ..
-                            } = &msg
-                            {
-                                self.on_resume_ack(*client_msgs_received);
-                            }
-                            let out = self.proxy.handle_server(&msg)?;
-                            if let Some(f) = out.frame {
-                                self.last_frame = Some(f);
-                                self.frames_delivered += 1;
-                            }
-                            if out.bell {
-                                self.bells += 1;
-                            }
-                            for m in out.messages {
-                                self.send_logged(m);
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(e) => return Err(e.into()),
-                    }
+                while let Some(frame) = self.sock.next_frame()? {
+                    processed = true;
+                    let msg = ServerMessage::decode_body(&mut frame.as_slice())?;
+                    self.proxy.on_server(&msg, wire(&mut self.sock))?;
                 }
                 Ok(processed)
             }
         }
     }
 
-    /// Pumps continuously for (at least) `dur` wall-clock time.
-    pub fn pump_for(&mut self, dur: Duration) -> Result<(), GatewayError> {
-        let deadline = Instant::now() + dur;
-        while Instant::now() < deadline {
-            self.pump_once()?;
-        }
-        Ok(())
-    }
-
-    /// Sends one message and appends it to the retransmission log.
-    ///
-    /// Write errors are deliberately swallowed: the message *is* logged,
-    /// the broken socket surfaces as EOF on the next read, and the
-    /// resume handshake retransmits everything the server never saw.
-    fn send_logged(&mut self, m: ClientMessage) {
-        let _ = self.sock.send_client(&m);
-        self.last_send = Instant::now();
-        self.client_log.push(m);
-    }
-
-    /// Sends without logging — reserved for the reattach `Hello` and
-    /// `Resume`, which the server excludes from its received count.
-    fn send_raw(&mut self, m: &ClientMessage) {
-        let _ = self.sock.send_client(m);
-        self.last_send = Instant::now();
-    }
-
-    /// Re-establishes TCP under exponential backoff + seeded jitter,
-    /// then reattaches the protocol session (incremental resume when a
-    /// handshake had completed, fresh Hello otherwise).
+    /// Re-establishes TCP, sleeping each backoff delay the session
+    /// hands out, then lets the session reattach the protocol
+    /// conversation on the fresh socket.
     fn reconnect(&mut self) -> Result<(), GatewayError> {
-        self.proxy.record_stall();
-        let mut delay = self.cfg.backoff_base;
-        let mut attempts = 0u32;
+        self.proxy.on_stall();
         let stream = loop {
-            if attempts >= self.cfg.max_attempts {
-                return Err(GatewayError::Stalled { attempts });
-            }
-            attempts += 1;
-            self.proxy.record_backoff_attempt();
-            let jitter_us = self
-                .backoff_rng
-                .gen_range(0..=(delay.as_micros() as u64) / 4);
-            std::thread::sleep(delay + Duration::from_micros(jitter_us));
-            match TcpStream::connect(self.addr) {
-                Ok(s) => break s,
-                Err(_) => delay = (delay * 2).min(self.cfg.backoff_cap),
+            let delay = self
+                .proxy
+                .next_backoff()
+                .map_err(|attempts| GatewayError::Stalled { attempts })?;
+            std::thread::sleep(Duration::from_micros(delay));
+            if let Ok(s) = TcpStream::connect(self.addr) {
+                break s;
             }
         };
         // A fresh FramedSocket also discards any half-received frame
         // from the dead connection.
         self.sock = FramedSocket::new(stream, self.cfg.max_frame, self.cfg.poll)?;
-        if !self.proxy.is_connected() {
-            // The break beat the handshake: nothing to resume.
-            self.client_log.clear();
-            self.log_offset = 0;
-            for m in self.proxy.connect() {
-                self.send_logged(m);
-            }
-            return Ok(());
+        if self.proxy.is_connected() {
+            // Sessions are keyed by name: re-attach to ours before the
+            // session's Resume. Unlogged, like Resume — the server
+            // leaves both out of its received-message count.
+            let _ = self.sock.send_client(&ClientMessage::Hello {
+                version: PROTOCOL_VERSION,
+                name: self.proxy.name().to_owned(),
+            });
         }
-        self.send_raw(&ClientMessage::Hello {
-            version: PROTOCOL_VERSION,
-            name: self.name.clone(),
-        });
-        let resume = self.proxy.make_resume();
-        self.send_raw(&resume);
+        self.proxy.on_reconnect(wire(&mut self.sock));
         Ok(())
-    }
-
-    /// Reacts to the server's resume handshake: retransmits, in original
-    /// order, every logged message the server reports missing.
-    fn on_resume_ack(&mut self, client_msgs_received: u64) {
-        let start = client_msgs_received.saturating_sub(self.log_offset) as usize;
-        let missing: Vec<ClientMessage> = match self.client_log.get(start..) {
-            Some(tail) => tail.to_vec(),
-            None => Vec::new(),
-        };
-        self.proxy.record_retransmits(missing.len() as u64);
-        for m in &missing {
-            // Already logged the first time around.
-            self.send_raw(m);
-        }
-        if start > 0 {
-            self.client_log.drain(..start.min(self.client_log.len()));
-            self.log_offset = client_msgs_received.min(self.log_offset + start as u64);
-        }
     }
 }

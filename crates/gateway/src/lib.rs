@@ -18,9 +18,9 @@
 //!   [`uniint_core::multi::MultiServer`] so a TV proxy and a phone
 //!   proxy on real sockets watch one panel concurrently;
 //! - [`client`] — the connection lifecycle ([`client::GatewayClient`]):
-//!   stall detection, seeded exponential backoff on reconnect, and
-//!   incremental `Resume` so a proxy that loses TCP mid-update comes
-//!   back without a full refresh;
+//!   a TCP driver for [`uniint_core::client::ClientSession`], whose
+//!   stall handling, seeded backoff and incremental `Resume` bring a
+//!   proxy that loses TCP mid-update back without a full refresh;
 //! - telemetry — every layer registers counters/gauges in a
 //!   [`uniint_telemetry::registry::Registry`], so one snapshot covers
 //!   the network edge too.

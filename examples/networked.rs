@@ -26,25 +26,24 @@ fn main() {
 
     // ------------------------------------------------- two proxy "processes"
     let mut pda = GatewayClient::connect(gw.local_addr(), "pda-proxy", 1).expect("pda connects");
-    pda.attach_input(Box::new(StylusPlugin::new()));
+    pda.proxy.attach_input(Box::new(StylusPlugin::new()));
     pda.attach_output(Box::new(ScreenPlugin::pda()));
 
     let mut phone =
         GatewayClient::connect(gw.local_addr(), "phone-proxy", 2).expect("phone connects");
-    phone.attach_input(Box::new(KeypadPlugin::new()));
+    phone.proxy.attach_input(Box::new(KeypadPlugin::new()));
     phone.attach_output(Box::new(ScreenPlugin::phone_lcd()));
 
     // Let both drain the initial full update in their own format.
     pump_both(&mut pda, &mut phone, |p, q| {
-        p.frames_delivered() >= 1 && q.frames_delivered() >= 1
+        p.proxy.frames_delivered() >= 1 && q.proxy.frames_delivered() >= 1
     });
-    println!(
-        "connected: pda sees {}x{}, phone sees {}x{}",
-        pda.last_frame().map(|f| f.frame.width()).unwrap_or(0),
-        pda.last_frame().map(|f| f.frame.height()).unwrap_or(0),
-        phone.last_frame().map(|f| f.frame.width()).unwrap_or(0),
-        phone.last_frame().map(|f| f.frame.height()).unwrap_or(0),
-    );
+    let size = |c: &GatewayClient| {
+        let frame = c.proxy.last_frame();
+        frame.map_or((0, 0), |f| (f.frame.width(), f.frame.height()))
+    };
+    let ((pw, ph), (qw, qh)) = (size(&pda), size(&phone));
+    println!("connected: pda sees {pw}x{ph}, phone sees {qw}x{qh}");
 
     // The PDA user taps the Power toggle. Stylus coordinates are in the
     // PDA's fitted-view space; the plug-in maps them back to the panel.
