@@ -225,11 +225,6 @@ impl Coordinator {
         }
     }
 
-    /// Whether a device id is currently eligible for selection.
-    pub fn is_available(&self, id: &str) -> bool {
-        !self.excluded.contains(id)
-    }
-
     /// Applies the policy, switching plug-ins where the best device
     /// differs from the active one. Only devices that actually carry the
     /// relevant plug-in factory and are not excluded compete for a role.

@@ -134,19 +134,6 @@ impl MultiServer {
         }
         out
     }
-
-    /// Notifies every client of a window resize.
-    pub fn notify_resize_all(&mut self, ui: &mut Ui) -> Vec<(ClientId, Vec<ServerMessage>)> {
-        let mut out = Vec::new();
-        for (id, slot) in self.clients.iter_mut().enumerate() {
-            let Some(server) = slot else { continue };
-            let msgs = server.notify_resize(ui);
-            if !msgs.is_empty() {
-                out.push((id, msgs));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]

@@ -9,26 +9,16 @@
 //!                   │                        │          ▲
 //!                   ▼         events        ▼          │ bounded OutQueue
 //!              state thread ◄────────────────          │
-//!          (owns Ui + MultiServer) ─────────────────────
+//!        (Ui + GatewayCore) ────────────────────────────
 //! ```
 //!
-//! Every reader forwards decoded [`ClientMessage`]s into one unbounded
-//! channel; the single state thread owns the [`Ui`] and the
-//! [`MultiServer`] so protocol handling stays strictly serialized — the
-//! concurrency lives at the sockets, not in the session logic. Outbound
-//! traffic flows through a **bounded** per-connection [`OutQueue`]: when
-//! a slow client falls behind, consecutive `Update`s coalesce into one
-//! (their damage rectangles concatenate, exactly like server-side damage
-//! merging), and a client that cannot even keep up with that is dropped
-//! rather than allowed to buffer the gateway into the ground.
-//!
-//! Reconnects are handled by *session adoption*: sessions are keyed by
-//! the client name from `Hello`. A `Hello` for a known name followed by
-//! `Resume` re-binds the existing server session — with its damage
-//! account and send log intact — to the new socket, so the resume is
-//! incremental instead of a full refresh.
+//! Readers forward decoded [`ClientMessage`]s into one channel. The state
+//! thread owns the [`Ui`] and the sans-IO [`GatewayCore`], hands it each
+//! event with the time since start, and sleeps until the next event or
+//! [`next_deadline`](GatewayCore::next_deadline). The concurrency lives
+//! at the sockets, not in the session logic. Each connection's
+//! [`OutQueue`] is shared with its writer under a `Mutex` + `Condvar`.
 
-use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -37,19 +27,16 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use uniint_core::multi::{ClientId, MultiServer};
-use uniint_core::tap::{Direction, SharedTap};
-use uniint_protocol::message::{encode_client, encode_server, ClientMessage, ServerMessage};
-use uniint_telemetry::registry::{Counter, Gauge, Registry};
+use uniint_core::tap::SharedTap;
+use uniint_protocol::message::{encode_server, ClientMessage, ServerMessage};
+use uniint_telemetry::registry::Registry;
 use uniint_wsys::ui::Ui;
 
-use crate::codec::{check_hello_version, FramedSocket, ReadStatus, DEFAULT_MAX_FRAME};
+use crate::codec::{FramedSocket, ReadStatus, DEFAULT_MAX_FRAME};
+use crate::state::{ConnId, GatewayCore, OutQueue, Queue};
 
-/// Identifies one TCP connection. Not the same as a session: a session
-/// survives reconnects, a connection does not.
-pub type ConnId = usize;
-
-/// Tuning knobs for a [`Gateway`].
+/// Tuning knobs for a [`Gateway`]. Queue bounds and the held-`Hello`
+/// grace are the constants in [`crate::state`].
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
     /// Address the gateway listens on. Defaults to `127.0.0.1:0`
@@ -59,31 +46,10 @@ pub struct GatewayConfig {
     /// Largest frame accepted from a client, bytes. Frames declaring
     /// more are rejected before allocation and the connection dropped.
     pub max_frame: usize,
-    /// Outbound queue capacity per connection, messages. A client that
-    /// stays this far behind even after update coalescing is dropped.
-    pub max_queue: usize,
-    /// Largest total pixel payload, bytes, that update coalescing may
-    /// accumulate into one queue entry. A merge that would exceed this
-    /// starts a new entry instead, so queue memory stays bounded by
-    /// roughly `max_queue * max_coalesce_bytes` even for a stalled
-    /// client under a continuously changing panel.
-    pub max_coalesce_bytes: usize,
-    /// Drop a connection after this long without a single byte from it.
-    /// `None` disables the idle check (the default).
-    pub idle_timeout: Option<Duration>,
-    /// How long a `Hello` for an already-known name is held back
-    /// waiting for a `Resume` to disambiguate reconnect from name
-    /// reuse. A fresh client (crashed and restarted) sends only the
-    /// Hello, so once this grace elapses the Hello is resolved as a
-    /// replacement and the handshake completes.
-    pub hello_grace: Duration,
     /// How long a session may stay detached (no socket) before it is
     /// reaped and its name freed. `None` keeps detached sessions
     /// forever — unbounded memory under client-name churn.
     pub session_grace: Option<Duration>,
-    /// How long the state thread waits for an event before running a
-    /// housekeeping pass (application tick + damage pump).
-    pub tick: Duration,
     /// Flight-recorder tap (see `uniint-trace`). When set, the state
     /// thread records every client message it processes and every
     /// server message it queues, stamped with microseconds since
@@ -97,156 +63,46 @@ impl Default for GatewayConfig {
         GatewayConfig {
             bind_addr: SocketAddr::from(([127, 0, 0, 1], 0)),
             max_frame: DEFAULT_MAX_FRAME,
-            max_queue: 64,
-            max_coalesce_bytes: 8 << 20,
-            idle_timeout: None,
-            hello_grace: Duration::from_millis(250),
             session_grace: Some(Duration::from_secs(60)),
-            tick: Duration::from_millis(10),
             recorder: None,
         }
     }
 }
 
-/// What [`OutQueue`]'s push did with a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pushed {
-    /// Appended as a new entry.
-    Queued,
-    /// Folded into the `Update` already at the tail.
-    Coalesced,
-    /// Queue was full and the message could not coalesce: the queue is
-    /// now closed and the connection must be dropped.
-    Overflow,
-    /// Queue already closed; message discarded.
-    Closed,
-}
-
-/// A bounded, coalescing outbound message queue (one per connection).
-///
-/// Built on `Mutex` + `Condvar` because the vendored channel offers no
-/// bounded variant — and a hand-rolled queue is what lets pending
-/// updates coalesce in place instead of blindly buffering.
-#[derive(Debug)]
-pub struct OutQueue {
-    inner: Mutex<QueueInner>,
+/// One connection's [`OutQueue`], shared by the state thread (push) and
+/// the connection's writer thread (pop).
+#[derive(Debug, Default)]
+struct SharedQueue {
+    queue: Mutex<OutQueue>,
     ready: Condvar,
-    cap: usize,
-    /// Largest total pixel payload one coalesced tail may carry; merges
-    /// that would exceed it start a new entry instead.
-    coalesce_cap: usize,
 }
 
-#[derive(Debug)]
-struct QueueInner {
-    items: VecDeque<ServerMessage>,
-    closed: bool,
-    /// Payload bytes accumulated in the tail entry (0 if not an
-    /// `Update`). Only mutated at push time, which is also the only
-    /// time the tail's identity can change.
-    tail_bytes: usize,
+/// Whether a writer has nothing to do but wait.
+fn idle(q: &mut OutQueue) -> bool {
+    q.depth() == 0 && !q.is_closed()
 }
 
-/// Total pixel payload carried by one `Update`'s rects.
-fn update_payload_bytes(msg: &ServerMessage) -> usize {
-    match msg {
-        ServerMessage::Update { rects, .. } => rects.iter().map(|r| r.payload.len()).sum(),
-        _ => 0,
+impl Queue for Arc<SharedQueue> {
+    /// Runs `f` under the lock, waking the writer if it gave it work.
+    fn with<R>(&mut self, f: impl FnOnce(&mut OutQueue) -> R) -> R {
+        let mut q = self.queue.lock().expect("queue poisoned");
+        let was_idle = idle(&mut q);
+        let r = f(&mut q);
+        let wake = was_idle && !idle(&mut q);
+        drop(q);
+        if wake {
+            self.ready.notify_one();
+        }
+        r
     }
 }
 
-impl OutQueue {
-    fn new(cap: usize, coalesce_cap: usize) -> OutQueue {
-        OutQueue {
-            inner: Mutex::new(QueueInner {
-                items: VecDeque::new(),
-                closed: false,
-                tail_bytes: 0,
-            }),
-            ready: Condvar::new(),
-            cap: cap.max(1),
-            coalesce_cap,
-        }
-    }
-
-    /// Enqueues `msg`, coalescing consecutive `Update`s: if the tail of
-    /// the queue is an `Update` in the same pixel format, the new rects
-    /// are appended to it and the sequence advances to the newer one.
-    /// Applying the merged update is pixel-identical to applying both in
-    /// order, and ordering relative to `Resize`/`Bell` is preserved
-    /// because only the *tail* merges. A merge never grows the tail past
-    /// `coalesce_cap` payload bytes — beyond that the update starts a
-    /// new entry, so a stalled client is bounded by `cap` entries of
-    /// bounded size and eventually overflows instead of absorbing the
-    /// panel's whole change history into one giant message.
-    fn push(&self, msg: ServerMessage) -> Pushed {
-        let mut q = self.inner.lock().expect("queue poisoned");
-        if q.closed {
-            return Pushed::Closed;
-        }
-        let msg_bytes = update_payload_bytes(&msg);
-        if let ServerMessage::Update { seq, format, rects } = &msg {
-            let fits = q.tail_bytes.saturating_add(msg_bytes) <= self.coalesce_cap;
-            if let Some(ServerMessage::Update {
-                seq: tail_seq,
-                format: tail_format,
-                rects: tail_rects,
-            }) = q.items.back_mut()
-            {
-                if tail_format == format && fits {
-                    tail_rects.extend(rects.iter().cloned());
-                    *tail_seq = (*tail_seq).max(*seq);
-                    q.tail_bytes += msg_bytes;
-                    self.ready.notify_one();
-                    return Pushed::Coalesced;
-                }
-            }
-        }
-        if q.items.len() >= self.cap {
-            q.closed = true;
-            q.items.clear();
-            self.ready.notify_all();
-            return Pushed::Overflow;
-        }
-        q.items.push_back(msg);
-        q.tail_bytes = msg_bytes;
-        self.ready.notify_one();
-        Pushed::Queued
-    }
-
-    /// Blocks up to `timeout` for the next message. `Ok(None)` means the
-    /// timeout elapsed; `Err(())` means closed and drained (writer done).
-    #[allow(clippy::result_unit_err)]
-    fn pop(&self, timeout: Duration) -> Result<Option<ServerMessage>, ()> {
-        let mut q = self.inner.lock().expect("queue poisoned");
-        loop {
-            if let Some(m) = q.items.pop_front() {
-                return Ok(Some(m));
-            }
-            if q.closed {
-                return Err(());
-            }
-            let (guard, res) = self.ready.wait_timeout(q, timeout).expect("queue poisoned");
-            q = guard;
-            if res.timed_out() {
-                return match q.items.pop_front() {
-                    Some(m) => Ok(Some(m)),
-                    None if q.closed => Err(()),
-                    None => Ok(None),
-                };
-            }
-        }
-    }
-
-    /// Closes the queue; the writer drains what is left and exits.
-    fn close(&self) {
-        let mut q = self.inner.lock().expect("queue poisoned");
-        q.closed = true;
-        self.ready.notify_all();
-    }
-
-    fn depth(&self) -> usize {
-        self.inner.lock().expect("queue poisoned").items.len()
+impl SharedQueue {
+    /// Blocks for the next message; `None` once closed and drained.
+    fn next(&self) -> Option<ServerMessage> {
+        let q = self.queue.lock().expect("queue poisoned");
+        let mut q = self.ready.wait_while(q, idle).expect("queue poisoned");
+        q.pop()
     }
 }
 
@@ -254,54 +110,13 @@ impl OutQueue {
 #[derive(Debug)]
 enum Event {
     /// A socket connected; its writer listens on the queue.
-    Connected(ConnId, Arc<OutQueue>),
+    Connected(ConnId, Arc<SharedQueue>),
     /// One decoded message from a connection.
     Msg(ConnId, ClientMessage),
-    /// Socket gone (EOF, error, idle timeout, oversized frame...).
+    /// Socket gone (EOF, error, oversized frame...).
     Disconnected(ConnId),
     /// Orderly gateway shutdown.
     Shutdown,
-}
-
-/// Counters the state thread maintains (socket-side counters live in
-/// the reader/writer threads and share the registry by name).
-struct StateMetrics {
-    reconnects: Counter,
-    resumes: Counter,
-    rejected_version: Counter,
-    decode_errors: Counter,
-    dropped_connections: Counter,
-    expired_sessions: Counter,
-    write_coalesced: Counter,
-    queue_depth: Gauge,
-}
-
-impl StateMetrics {
-    fn new(r: &Registry) -> StateMetrics {
-        StateMetrics {
-            reconnects: r.counter("gateway.reconnects"),
-            resumes: r.counter("gateway.resumes"),
-            rejected_version: r.counter("gateway.rejected_version"),
-            decode_errors: r.counter("gateway.decode_errors"),
-            dropped_connections: r.counter("gateway.dropped_connections"),
-            expired_sessions: r.counter("gateway.expired_sessions"),
-            write_coalesced: r.counter("gateway.write_coalesced"),
-            queue_depth: r.gauge("gateway.queue_depth"),
-        }
-    }
-}
-
-/// Per-connection bookkeeping inside the state thread.
-struct Conn {
-    queue: Arc<OutQueue>,
-    session: Option<ClientId>,
-    /// A `Hello` for an already-known name, held back until either the
-    /// next message disambiguates reconnect (`Resume` follows) from a
-    /// fresh client reusing the name (anything else follows), or
-    /// `hello_grace` elapses — a fresh client sends nothing after its
-    /// Hello, so the timeout resolves it as a replacement instead of
-    /// hanging its handshake.
-    pending_hello: Option<(ClientMessage, Instant)>,
 }
 
 /// A running gateway: an appliance panel listening on a TCP port.
@@ -323,18 +138,6 @@ impl Gateway {
     /// Binds `config.bind_addr` (loopback + ephemeral port by default)
     /// and starts serving `ui`.
     pub fn spawn(ui: Ui, config: GatewayConfig, registry: Registry) -> io::Result<Gateway> {
-        Gateway::spawn_with_tick(ui, config, registry, Box::new(|_| {}))
-    }
-
-    /// Like [`spawn`](Gateway::spawn), with an application tick closure
-    /// run by the state thread between events — the appliance's own
-    /// logic (clocks, sensor readouts) mutating the panel it serves.
-    pub fn spawn_with_tick(
-        ui: Ui,
-        config: GatewayConfig,
-        registry: Registry,
-        tick: Box<dyn FnMut(&mut Ui) + Send>,
-    ) -> io::Result<Gateway> {
         let listener = TcpListener::bind(config.bind_addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -347,19 +150,22 @@ impl Gateway {
             let stop = stop.clone();
             let tx = tx.clone();
             let io_handles = io_handles.clone();
-            let cfg = config.clone();
+            let max_frame = config.max_frame;
             let registry = registry.clone();
             std::thread::Builder::new()
                 .name("gw-accept".into())
-                .spawn(move || accept_loop(listener, stop, tx, io_handles, cfg, registry))?
+                .spawn(move || accept_loop(listener, stop, tx, io_handles, max_frame, registry))?
         };
 
         let state_handle = {
-            let cfg = config.clone();
-            let registry = registry.clone();
+            let core = GatewayCore::new(
+                registry.clone(),
+                config.session_grace.map(|g| g.as_micros() as u64),
+                config.recorder,
+            );
             std::thread::Builder::new()
                 .name("gw-state".into())
-                .spawn(move || state_loop(ui, rx, cfg, registry, tick))?
+                .spawn(move || state_loop(ui, core, rx))?
         };
 
         Ok(Gateway {
@@ -411,7 +217,7 @@ fn accept_loop(
     stop: Arc<AtomicBool>,
     tx: Sender<Event>,
     io_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    cfg: GatewayConfig,
+    max_frame: usize,
     registry: Registry,
 ) {
     let next_id = AtomicUsize::new(0);
@@ -421,7 +227,7 @@ fn accept_loop(
             Ok((stream, _peer)) => {
                 let id = next_id.fetch_add(1, Ordering::SeqCst);
                 accepted.inc();
-                match spawn_conn(id, stream, &stop, &tx, &cfg, &registry) {
+                match spawn_conn(id, stream, &stop, &tx, max_frame, &registry) {
                     Ok(mut handles) => {
                         io_handles
                             .lock()
@@ -433,9 +239,7 @@ fn accept_loop(
                     }
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // WouldBlock (nothing pending) or a transient accept error.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -447,95 +251,73 @@ fn spawn_conn(
     stream: TcpStream,
     stop: &Arc<AtomicBool>,
     tx: &Sender<Event>,
-    cfg: &GatewayConfig,
+    max_frame: usize,
     registry: &Registry,
 ) -> io::Result<Vec<JoinHandle<()>>> {
-    let queue = Arc::new(OutQueue::new(cfg.max_queue, cfg.max_coalesce_bytes));
+    let queue = Arc::new(SharedQueue::default());
     let write_half = stream.try_clone()?;
-    let mut sock = FramedSocket::new(stream, cfg.max_frame, Duration::from_millis(20))?;
+    let mut sock = FramedSocket::new(stream, max_frame, Duration::from_millis(20))?;
     let _ = tx.send(Event::Connected(id, queue.clone()));
 
     let reader = {
         let stop = stop.clone();
         let tx = tx.clone();
-        let queue = queue.clone();
-        let idle_timeout = cfg.idle_timeout;
+        let mut queue = queue.clone();
         let frames_in = registry.counter("gateway.frames_in");
         let bytes_in = registry.counter("gateway.bytes_in");
         let decode_errors = registry.counter("gateway.decode_errors");
         std::thread::Builder::new()
             .name(format!("gw-read-{id}"))
             .spawn(move || {
-                let mut last_byte = Instant::now();
                 'conn: loop {
                     if stop.load(Ordering::SeqCst) {
                         break;
                     }
                     match sock.fill() {
                         Ok(ReadStatus::Eof) | Err(_) => break,
-                        Ok(ReadStatus::Idle) => {
-                            if let Some(limit) = idle_timeout {
-                                if last_byte.elapsed() > limit {
-                                    break;
-                                }
-                            }
-                            continue;
-                        }
-                        Ok(ReadStatus::Data(n)) => {
-                            last_byte = Instant::now();
-                            bytes_in.add(n as u64);
-                        }
+                        Ok(ReadStatus::Idle) => continue,
+                        Ok(ReadStatus::Data(n)) => bytes_in.add(n as u64),
                     }
                     loop {
-                        match sock.next_frame() {
-                            Ok(Some(frame)) => {
-                                match ClientMessage::decode_body(&mut frame.as_slice()) {
-                                    Ok(msg) => {
-                                        frames_in.inc();
-                                        let _ = tx.send(Event::Msg(id, msg));
-                                    }
-                                    Err(_) => {
-                                        decode_errors.inc();
-                                        break 'conn;
-                                    }
-                                }
+                        let next = sock.next_frame().and_then(|frame| {
+                            let decode = |f: Vec<u8>| ClientMessage::decode_body(&mut f.as_slice());
+                            frame.map(decode).transpose()
+                        });
+                        match next {
+                            Ok(Some(msg)) => {
+                                frames_in.inc();
+                                let _ = tx.send(Event::Msg(id, msg));
                             }
                             Ok(None) => break,
+                            // Oversized, corrupt or undecodable: the peer
+                            // is hostile or broken either way.
                             Err(_) => {
-                                // Oversized or corrupt framing: the peer
-                                // is hostile or broken either way.
                                 decode_errors.inc();
                                 break 'conn;
                             }
                         }
                     }
                 }
-                queue.close();
+                queue.with(OutQueue::close);
                 let _ = tx.send(Event::Disconnected(id));
             })?
     };
 
     let writer = {
-        let queue = queue.clone();
+        let mut queue = queue.clone();
         let bytes_out = registry.counter("gateway.bytes_out");
         std::thread::Builder::new()
             .name(format!("gw-write-{id}"))
             .spawn(move || {
                 use std::io::Write;
                 let mut out = write_half;
-                loop {
-                    match queue.pop(Duration::from_millis(50)) {
-                        Ok(Some(msg)) => {
-                            let bytes = encode_server(&msg);
-                            if out.write_all(&bytes).is_err() {
-                                queue.close();
-                                break;
-                            }
-                            bytes_out.add(bytes.len() as u64);
-                        }
-                        Ok(None) => {}
-                        Err(()) => break,
+                while let Some(msg) = queue.next() {
+                    let bytes = encode_server(&msg);
+                    if out.write_all(&bytes).is_err() {
+                        queue.with(OutQueue::close);
+                        break;
                     }
+                    bytes_out.add(bytes.len() as u64);
                 }
                 // Waking the reader (EOF) is what turns "writer gave up"
                 // into a full disconnect.
@@ -546,442 +328,60 @@ fn spawn_conn(
     Ok(vec![reader, writer])
 }
 
-/// The whole mutable world of the state thread.
-struct State {
-    multi: MultiServer,
-    conns: HashMap<ConnId, Conn>,
-    /// Session bindings survive their sockets: name → session...
-    names: HashMap<String, ClientId>,
-    /// ...and which socket (if any) a session's output currently goes to.
-    attached: HashMap<ClientId, ConnId>,
-    /// When each currently-detached session lost its socket, so stale
-    /// ones can be reaped after `session_grace` instead of accumulating
-    /// forever under client-name churn.
-    detached_at: HashMap<ClientId, Instant>,
-    metrics: StateMetrics,
-    registry: Registry,
-    /// Flight-recorder tap from [`GatewayConfig::recorder`].
-    recorder: Option<SharedTap>,
-    /// Timestamp origin for recorded messages.
-    started: Instant,
-}
-
-/// The single thread owning the panel and all protocol sessions.
-fn state_loop(
-    mut ui: Ui,
-    rx: Receiver<Event>,
-    cfg: GatewayConfig,
-    registry: Registry,
-    mut tick: Box<dyn FnMut(&mut Ui) + Send>,
-) -> Ui {
-    let mut st = State {
-        multi: MultiServer::new(),
-        conns: HashMap::new(),
-        names: HashMap::new(),
-        attached: HashMap::new(),
-        detached_at: HashMap::new(),
-        metrics: StateMetrics::new(&registry),
-        registry,
-        recorder: cfg.recorder.clone(),
-        started: Instant::now(),
-    };
-
+/// The state thread: a driver for the [`GatewayCore`] that passes it
+/// every event with the microseconds since start and sleeps until the
+/// next event or the core's next deadline.
+fn state_loop(mut ui: Ui, mut core: GatewayCore<Arc<SharedQueue>>, rx: Receiver<Event>) -> Ui {
+    let started = Instant::now();
+    let now_us = || started.elapsed().as_micros() as u64;
     loop {
-        let first = match rx.recv_timeout(cfg.tick) {
-            Ok(ev) => Some(ev),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => break,
+        let first = match core.next_deadline() {
+            Some(deadline) => {
+                let wait = Duration::from_micros(deadline.saturating_sub(now_us()));
+                match rx.recv_timeout(wait) {
+                    Ok(ev) => Some(ev),
+                    Err(RecvTimeoutError::Timeout) => None,
+                    Err(RecvTimeoutError::Disconnected) => break,
+                }
+            }
+            None => match rx.recv() {
+                Ok(ev) => Some(ev),
+                Err(_) => break,
+            },
         };
-        let mut stop = false;
         for ev in first.into_iter().chain(rx.try_iter()) {
             match ev {
-                Event::Connected(id, queue) => {
-                    st.conns.insert(
-                        id,
-                        Conn {
-                            queue,
-                            session: None,
-                            pending_hello: None,
-                        },
-                    );
-                }
-                Event::Msg(id, msg) => st.handle_msg(&mut ui, id, msg),
-                Event::Disconnected(id) => st.drop_conn(id),
-                Event::Shutdown => stop = true,
+                Event::Connected(id, queue) => core.connect(id, queue),
+                Event::Msg(id, msg) => core.message(&mut ui, id, msg, now_us()),
+                Event::Disconnected(id) => core.disconnect(id, now_us()),
+                // Readers see the stop flag and close their queues,
+                // which ends the writers.
+                Event::Shutdown => return ui,
             }
         }
-        if stop {
-            break;
-        }
-        st.resolve_stale_hellos(&mut ui, cfg.hello_grace);
-        st.expire_detached_sessions(cfg.session_grace);
-        tick(&mut ui);
-        let batches = st.multi.pump_all(&mut ui);
-        st.route_batches(batches);
-    }
-
-    for conn in st.conns.values() {
-        conn.queue.close();
+        core.poll(&mut ui, now_us());
     }
     ui
-}
-
-impl State {
-    /// Unbinds a dead socket. Its *session* stays alive: damage keeps
-    /// accumulating in the server session (bounded by the screen area),
-    /// so the same client name can come back and resume incrementally —
-    /// until `session_grace` reaps it.
-    fn drop_conn(&mut self, id: ConnId) {
-        if let Some(conn) = self.conns.remove(&id) {
-            conn.queue.close();
-            if let Some(sid) = conn.session {
-                if self.attached.get(&sid) == Some(&id) {
-                    self.attached.remove(&sid);
-                    self.detached_at.insert(sid, Instant::now());
-                }
-            }
-        }
-    }
-
-    /// Detaches the session a connection is currently bound to (if
-    /// any), leaving the session alive under its name. Called when a
-    /// bound connection sends another `Hello`: the old session must
-    /// stop writing to this socket *before* a new one binds, or two
-    /// independent seq streams would interleave onto one client.
-    fn unbind_conn(&mut self, id: ConnId) {
-        if let Some(conn) = self.conns.get_mut(&id) {
-            if let Some(sid) = conn.session.take() {
-                if self.attached.get(&sid) == Some(&id) {
-                    self.attached.remove(&sid);
-                    self.detached_at.insert(sid, Instant::now());
-                }
-            }
-        }
-    }
-
-    /// Binds `id` to a brand-new session for `hello`'s name, displacing
-    /// (and disconnecting) any previous session under that name, and
-    /// forwards the Hello so the normal handshake replies flow.
-    fn bind_fresh_session(&mut self, ui: &mut Ui, id: ConnId, hello: ClientMessage) {
-        let ClientMessage::Hello { ref name, .. } = hello else {
-            unreachable!("only Hello is ever held back");
-        };
-        if !self.conns.contains_key(&id) {
-            return;
-        }
-        let sid = self.multi.accept_with_telemetry(ui, self.registry.clone());
-        if let Some(old_sid) = self.names.insert(name.clone(), sid) {
-            if let Some(old_conn) = self.attached.remove(&old_sid) {
-                if old_conn != id {
-                    if let Some(stale) = self.conns.get(&old_conn) {
-                        stale.queue.close();
-                    }
-                }
-            }
-            self.detached_at.remove(&old_sid);
-            self.multi.disconnect(old_sid);
-        }
-        self.attached.insert(sid, id);
-        self.conns.get_mut(&id).expect("checked").session = Some(sid);
-        let replies = self.multi.handle_message(ui, sid, hello);
-        self.push_to(id, replies);
-    }
-
-    /// Resolves held-back `Hello`s whose grace elapsed with no follow-up
-    /// message: the peer is a fresh client reusing a known name (a
-    /// reconnecting client sends `Resume` immediately after its Hello),
-    /// so it displaces the old session and handshakes normally.
-    fn resolve_stale_hellos(&mut self, ui: &mut Ui, grace: Duration) {
-        let stale: Vec<ConnId> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| {
-                c.pending_hello
-                    .as_ref()
-                    .is_some_and(|(_, held)| held.elapsed() >= grace)
-            })
-            .map(|(id, _)| *id)
-            .collect();
-        for id in stale {
-            if let Some((hello, _)) = self.conns.get_mut(&id).and_then(|c| c.pending_hello.take()) {
-                self.bind_fresh_session(ui, id, hello);
-            }
-        }
-    }
-
-    /// Reaps sessions that have been detached longer than `grace`,
-    /// freeing their name and their `MultiServer` slot.
-    fn expire_detached_sessions(&mut self, grace: Option<Duration>) {
-        let Some(grace) = grace else { return };
-        let expired: Vec<ClientId> = self
-            .detached_at
-            .iter()
-            .filter(|(_, since)| since.elapsed() >= grace)
-            .map(|(sid, _)| *sid)
-            .collect();
-        for sid in expired {
-            self.detached_at.remove(&sid);
-            self.attached.remove(&sid);
-            let mut expired_name = None;
-            self.names.retain(|name, s| {
-                if *s == sid {
-                    expired_name = Some(name.clone());
-                    false
-                } else {
-                    true
-                }
-            });
-            self.multi.disconnect(sid);
-            self.metrics.expired_sessions.inc();
-            if let Some(name) = expired_name {
-                self.registry
-                    .journal()
-                    .record("gateway.session_expired", name);
-            }
-        }
-    }
-
-    /// Applies one client message: version policy, name-keyed session
-    /// adoption, then normal protocol dispatch into the [`MultiServer`].
-    fn handle_msg(&mut self, ui: &mut Ui, id: ConnId, msg: ClientMessage) {
-        if !self.conns.contains_key(&id) {
-            return;
-        }
-        if let Some(tap) = &self.recorder {
-            // Recorded at the moment the state thread consumes the
-            // message (held-back Hellos are recorded here too, in
-            // arrival order, even though their processing is deferred).
-            tap.record(
-                self.started.elapsed().as_micros() as u64,
-                id as u32,
-                Direction::ToServer,
-                &encode_client(&msg)[4..],
-            );
-        }
-
-        // A held-back Hello resolves on the very next message (or, if
-        // none comes, on the `hello_grace` timeout in housekeeping).
-        let held = self
-            .conns
-            .get_mut(&id)
-            .expect("checked")
-            .pending_hello
-            .take();
-        if let Some((hello, _)) = held {
-            let ClientMessage::Hello { ref name, .. } = hello else {
-                unreachable!("only Hello is ever held back");
-            };
-            // Adopt the existing session only on Resume; its name may
-            // also have been reaped between hold and resolution, in
-            // which case a fresh session is the only option left.
-            let known = self.names.get(name).copied();
-            match (&msg, known) {
-                (ClientMessage::Resume { .. }, Some(sid)) => {
-                    // Reconnect: adopt the existing session wholesale.
-                    // The Hello is deliberately *not* forwarded — a
-                    // Hello resets server-side session state, which is
-                    // exactly what an incremental resume must avoid.
-                    if let Some(old) = self.attached.insert(sid, id) {
-                        if old != id {
-                            if let Some(stale) = self.conns.get(&old) {
-                                stale.queue.close();
-                            }
-                        }
-                    }
-                    self.detached_at.remove(&sid);
-                    self.conns.get_mut(&id).expect("checked").session = Some(sid);
-                    self.metrics.reconnects.inc();
-                    self.registry
-                        .journal()
-                        .record("gateway.reconnect", name.clone());
-                }
-                _ => {
-                    // A fresh client reusing a known name: the old
-                    // session is abandoned in its favour.
-                    self.bind_fresh_session(ui, id, hello);
-                }
-            }
-            // Fall through: `msg` itself is processed below.
-        }
-
-        let session = self.conns.get(&id).and_then(|c| c.session);
-        match (&msg, session) {
-            (ClientMessage::Hello { version, name }, _) => {
-                if check_hello_version(*version).is_err() {
-                    self.metrics.rejected_version.inc();
-                    self.registry
-                        .journal()
-                        .record("gateway.rejected_version", format!("{name}: v{version}"));
-                    self.conns[&id].queue.close();
-                    return;
-                }
-                // A re-Hello from a bound connection rebinds it: detach
-                // the old session first so only one seq stream ever
-                // writes to this socket.
-                self.unbind_conn(id);
-                if self.names.contains_key(name) {
-                    // Known name: reconnect or collision? The next
-                    // message tells (Resume means reconnect), and the
-                    // hello_grace timeout resolves the silent case.
-                    self.conns.get_mut(&id).expect("checked").pending_hello =
-                        Some((msg, Instant::now()));
-                    return;
-                }
-                let sid = self.multi.accept_with_telemetry(ui, self.registry.clone());
-                self.names.insert(name.clone(), sid);
-                self.attached.insert(sid, id);
-                self.conns.get_mut(&id).expect("checked").session = Some(sid);
-                let replies = self.multi.handle_message(ui, sid, msg);
-                self.push_to(id, replies);
-            }
-            (_, Some(sid)) => {
-                if matches!(msg, ClientMessage::Resume { .. }) {
-                    self.metrics.resumes.inc();
-                }
-                let replies = self.multi.handle_message(ui, sid, msg);
-                self.push_to(id, replies);
-            }
-            (_, None) => {
-                // Message before any Hello: protocol abuse, drop the peer.
-                self.metrics.decode_errors.inc();
-                self.conns[&id].queue.close();
-            }
-        }
-    }
-
-    fn push_to(&mut self, id: ConnId, replies: Vec<ServerMessage>) {
-        let Some(conn) = self.conns.get(&id) else {
-            return;
-        };
-        for r in replies {
-            if let Some(tap) = &self.recorder {
-                // Recorded pre-queue, i.e. in the order the sessions
-                // produced the messages, before any coalescing.
-                tap.record(
-                    self.started.elapsed().as_micros() as u64,
-                    id as u32,
-                    Direction::ToClient,
-                    &encode_server(&r)[4..],
-                );
-            }
-            match conn.queue.push(r) {
-                Pushed::Coalesced => self.metrics.write_coalesced.inc(),
-                Pushed::Overflow => {
-                    self.metrics.dropped_connections.inc();
-                    break;
-                }
-                Pushed::Queued | Pushed::Closed => {}
-            }
-        }
-        self.metrics.queue_depth.set(conn.queue.depth() as i64);
-    }
-
-    fn route_batches(&mut self, batches: Vec<(ClientId, Vec<ServerMessage>)>) {
-        for (sid, msgs) in batches {
-            let Some(id) = self.attached.get(&sid).copied() else {
-                // Session currently detached: its updates stay as damage
-                // inside the server session until the name resumes.
-                continue;
-            };
-            self.push_to(id, msgs);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uniint_protocol::message::RectUpdate;
-    use uniint_raster::geom::Rect;
-    use uniint_raster::pixel::PixelFormat;
-
-    fn update(seq: u64, x: i32) -> ServerMessage {
-        ServerMessage::Update {
-            seq,
-            format: PixelFormat::Rgb888,
-            rects: vec![RectUpdate {
-                rect: Rect::new(x, 0, 1, 1),
-                encoding: uniint_protocol::encoding::Encoding::Raw,
-                payload: vec![0, 0, 0],
-            }],
-        }
-    }
 
     #[test]
-    fn queue_coalesces_consecutive_updates() {
-        let q = OutQueue::new(4, usize::MAX);
-        assert_eq!(q.push(update(1, 0)), Pushed::Queued);
-        assert_eq!(q.push(update(2, 1)), Pushed::Coalesced);
-        assert_eq!(q.push(update(3, 2)), Pushed::Coalesced);
-        assert_eq!(q.depth(), 1);
-        let m = q.pop(Duration::from_millis(1)).unwrap().unwrap();
-        match m {
-            ServerMessage::Update { seq, rects, .. } => {
-                assert_eq!(seq, 3, "merged update carries the newest seq");
-                assert_eq!(rects.len(), 3, "all damage retained in order");
-            }
-            other => panic!("expected update, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn queue_does_not_merge_across_interleaved_messages() {
-        // Update / Resize / Update must stay three messages: merging the
-        // second update into the first would replay its rects *before*
-        // the resize that invalidated the old geometry.
-        let q = OutQueue::new(4, usize::MAX);
-        q.push(update(1, 0));
-        q.push(ServerMessage::Resize {
-            width: 10,
-            height: 10,
-        });
-        assert_eq!(q.push(update(2, 1)), Pushed::Queued);
-        assert_eq!(q.depth(), 3);
-    }
-
-    #[test]
-    fn queue_coalescing_is_bounded_in_bytes() {
-        // Each test update carries a 3-byte payload; a 4-byte coalesce
-        // cap lets no pair merge, so a backed-up client marches toward
-        // the queue cap (and Overflow) instead of growing one tail
-        // entry without bound.
-        let q = OutQueue::new(3, 4);
-        assert_eq!(q.push(update(1, 0)), Pushed::Queued);
+    fn writer_drains_the_queue_then_ends_on_close() {
+        let mut q = Arc::new(SharedQueue::default());
+        let writer = {
+            let q = q.clone();
+            std::thread::spawn(move || std::iter::from_fn(|| q.next()).count())
+        };
+        q.with(|q| q.push(ServerMessage::Bell));
+        q.with(|q| q.push(ServerMessage::Bell));
+        q.with(OutQueue::close);
         assert_eq!(
-            q.push(update(2, 1)),
-            Pushed::Queued,
-            "merge would exceed cap"
+            writer.join().unwrap(),
+            2,
+            "drains what is queued, then ends"
         );
-        assert_eq!(q.push(update(3, 2)), Pushed::Queued);
-        assert_eq!(q.depth(), 3);
-        assert_eq!(q.push(update(4, 3)), Pushed::Overflow);
-    }
-
-    #[test]
-    fn queue_coalesces_again_after_a_new_tail_starts() {
-        // A 7-byte cap fits two 3-byte payloads but not three: the third
-        // update starts a fresh tail, and the fourth merges into *it*.
-        let q = OutQueue::new(4, 7);
-        assert_eq!(q.push(update(1, 0)), Pushed::Queued);
-        assert_eq!(q.push(update(2, 1)), Pushed::Coalesced);
-        assert_eq!(q.push(update(3, 2)), Pushed::Queued, "cap reached");
-        assert_eq!(q.push(update(4, 3)), Pushed::Coalesced, "new tail merges");
-        assert_eq!(q.depth(), 2);
-    }
-
-    #[test]
-    fn queue_overflow_closes() {
-        let q = OutQueue::new(2, usize::MAX);
-        assert_eq!(q.push(ServerMessage::Bell), Pushed::Queued);
-        assert_eq!(q.push(ServerMessage::Bell), Pushed::Queued);
-        assert_eq!(q.push(ServerMessage::Bell), Pushed::Overflow);
-        assert_eq!(q.push(ServerMessage::Bell), Pushed::Closed);
-        assert!(q.pop(Duration::from_millis(1)).is_err(), "closed + drained");
-    }
-
-    #[test]
-    fn queue_pop_times_out_empty() {
-        let q = OutQueue::new(2, usize::MAX);
-        assert_eq!(q.pop(Duration::from_millis(5)), Ok(None));
     }
 }

@@ -5,18 +5,18 @@
 //! network, talking over TCP sockets instead of in-process pipes or the
 //! discrete-event simulator.
 //!
-//! Four layers, bottom up:
+//! Five layers, bottom up:
 //!
 //! - [`codec`] — the length-prefixed frame codec shared by both ends:
 //!   a hard max-frame-size bound enforced before allocation, and the
 //!   protocol-version check applied to every `Hello`;
-//! - [`host`] — the concurrent connection host ([`host::Gateway`]):
-//!   one accept thread, one reader + one writer thread per connection
-//!   with a **bounded** outbound queue (pending `Update`s for a slow
-//!   client coalesce into one instead of buffering without bound), and
-//!   a single state thread driving a shared
-//!   [`uniint_core::multi::MultiServer`] so a TV proxy and a phone
-//!   proxy on real sockets watch one panel concurrently;
+//! - [`state`] — the host's sans-IO session state machine
+//!   ([`state::GatewayCore`]): name-keyed sessions over one
+//!   [`uniint_core::multi::MultiServer`], held `Hello`s, expiry, and a
+//!   bounded, coalescing [`state::OutQueue`] per connection;
+//! - [`host`] — its TCP driver ([`host::Gateway`]): accept, reader and
+//!   writer threads, and a state thread that sleeps until the next event
+//!   or the core's next deadline;
 //! - [`client`] — the connection lifecycle ([`client::GatewayClient`]):
 //!   a TCP driver for [`uniint_core::client::ClientSession`], whose
 //!   stall handling, seeded backoff and incremental `Resume` bring a
@@ -45,6 +45,7 @@
 pub mod client;
 pub mod codec;
 pub mod host;
+pub mod state;
 
 /// Convenient re-exports of the gateway surface.
 pub mod prelude {

@@ -471,6 +471,16 @@ impl Simulator {
         self.endpoints[ep.0].messages_sent
     }
 
+    /// Arrival time of the next in-flight message, if any — when
+    /// [`step`](Simulator::step) would next move the clock.
+    pub fn next_event_us(&self) -> Option<u64> {
+        self.queue
+            .iter()
+            .filter(|Reverse((_, s))| self.deliveries.contains_key(s))
+            .map(|Reverse((t, _))| *t)
+            .min()
+    }
+
     /// Processes the next in-flight message, advancing the clock to its
     /// arrival. Returns the new time, or `None` when nothing is in flight.
     /// A message whose arrival lands inside a flap window is dropped (and
